@@ -32,6 +32,7 @@ from .evalharness import (
     accuracy,
     emit_report,
     run_experiment,
+    train_gallery,
 )
 from .geometry import (
     Triangulation,
@@ -45,7 +46,6 @@ from .geometry import (
 )
 from .recognizer import (
     Gallery,
-    GalleryEntry,
     GalleryFormatError,
     MatchReport,
     TrainingRecord,

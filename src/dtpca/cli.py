@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
-from . import dataset_io, eigenface, evalharness, geometry, recognizer
+from . import dataset_io, evalharness, geometry, recognizer
 from .dataset_io import DatasetFormatError
 from .eigenface import ZeroVarianceError
 from .recognizer import GalleryFormatError, atomic_write_text
@@ -77,20 +78,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        atomic_write_text(out, text)
-
-
 def cmd_triangulate(args) -> int:
     landmarks = dataset_io.load_landmarks(args.landmarks)
     try:
         tri = geometry.delaunay(landmarks)
     except ValueError as exc:
         raise DatasetFormatError(f"{args.landmarks}: {exc}") from None
-    _emit(json.dumps(tri.to_dict()) + "\n", args.out)
+    text = json.dumps(tri.to_dict()) + "\n"
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        atomic_write_text(args.out, text)
     return EXIT_OK
 
 
@@ -116,34 +114,23 @@ def cmd_train(args) -> int:
     manifest = dataset_io.load_manifest(args.manifest)
     manifest = _manifest_with_scheme_dir(manifest, args.scheme_dir)
 
-    images = []
-    dims = None
-    for e in manifest.entries:
-        img = evalharness.load_image_checked(e.image_path, dims)
-        dims = (img.width, img.height)
-        images.append(img)
-    model = eigenface.fit_eigenmodel(images, args.k)
-    records = [
-        recognizer.TrainingRecord(
-            image=img,
-            landmarks=evalharness.load_landmarks_checked(e.landmark_path),
-            subject_id=e.subject_id,
-            variant=e.variant,
-            source_path=str(e.image_path),
-        )
-        for e, img in zip(manifest.entries, images)
-    ]
-    gallery = recognizer.build_gallery(model, records)
+    gallery, model = evalharness.train_gallery(
+        manifest.entries, args.k, with_landmarks=True
+    )
     recognizer.save_gallery(gallery, model, args.out)
     return EXIT_OK
+
+
+def _check_dt_divisor(value: float) -> None:
+    if not 0 < value < math.inf:
+        raise UsageError(f"--dt-divisor must be positive and finite, got {value}")
 
 
 def cmd_recognize(args) -> int:
     mode = _MODE_FLAGS[args.mode]
     if mode == "dt_pca" and args.landmarks is None:
         raise UsageError("--landmarks is required with --mode dt-pca")
-    if args.dt_divisor <= 0:
-        raise UsageError(f"--dt-divisor must be positive, got {args.dt_divisor}")
+    _check_dt_divisor(args.dt_divisor)
     gallery, model = recognizer.load_gallery(args.gallery)
     image = dataset_io.load_image(args.image)
     landmarks = None
@@ -163,8 +150,7 @@ def cmd_evaluate(args) -> int:
         raise UsageError(
             f"--modes must list pca-only and/or dt-pca, got {args.modes!r}"
         )
-    if args.dt_divisor <= 0:
-        raise UsageError(f"--dt-divisor must be positive, got {args.dt_divisor}")
+    _check_dt_divisor(args.dt_divisor)
     manifest = dataset_io.load_manifest(args.manifest)
     per_subject = {
         len(v) for v in manifest.entries_by_subject().values()
@@ -182,9 +168,7 @@ def cmd_evaluate(args) -> int:
         dt_divisor=args.dt_divisor,
     )
     table = evalharness.run_experiment(config)
-    text = evalharness.render_text_report(table) if args.report == "text" \
-        else evalharness.render_csv_report(table)
-    _emit(text, args.out)
+    evalharness.emit_report(table, args.report, args.out)
     return EXIT_OK
 
 

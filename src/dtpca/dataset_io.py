@@ -10,6 +10,7 @@ deterministic (first k variants per subject, in manifest order).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -169,11 +170,16 @@ def load_landmarks(path) -> LandmarkSet:
             if len(parts) != 2:
                 raise DatasetFormatError(f"{path}:{lineno}: expected 'x,y'")
             try:
-                points.append((float(parts[0]), float(parts[1])))
+                x, y = float(parts[0]), float(parts[1])
             except ValueError:
                 raise DatasetFormatError(
                     f"{path}:{lineno}: unparsable coordinate {line!r}"
                 ) from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: non-finite coordinate {line!r}"
+                )
+            points.append((x, y))
     if len(points) < 3:
         raise DatasetFormatError(f"{path}: fewer than 3 landmark points")
     if len(set(points)) != len(points):

@@ -10,6 +10,7 @@ for the plain eigenface baseline and one per landmark scheme.
 from __future__ import annotations
 
 import io
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,8 +38,8 @@ class ExperimentConfig:
             raise ValueError("train_variants must be >= 1")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.dt_divisor <= 0:
-            raise ValueError("dt_divisor must be positive")
+        if not 0 < self.dt_divisor < math.inf:
+            raise ValueError("dt_divisor must be positive and finite")
         bad = [m for m in self.modes if m not in recognizer.MODES]
         if bad or not self.modes:
             raise ValueError(f"modes must be a non-empty subset of {recognizer.MODES}")
@@ -96,6 +97,32 @@ def load_landmarks_checked(path):
         raise DatasetFormatError(f"{path}: landmark file not found") from None
 
 
+def train_gallery(entries, k: int, with_landmarks: bool):
+    """Load the entries' images, fit the eigenmodel, build the gallery.
+
+    Returns (gallery, model).  All images are read before the fit and the
+    landmark files after it, only when with_landmarks is set.
+    """
+    images = []
+    dims = None
+    for e in entries:
+        img = load_image_checked(e.image_path, dims)
+        dims = (img.width, img.height)
+        images.append(img)
+    model = eigenface.fit_eigenmodel(images, k)
+    records = [
+        recognizer.TrainingRecord(
+            image=img,
+            landmarks=load_landmarks_checked(e.landmark_path) if with_landmarks else None,
+            subject_id=e.subject_id,
+            variant=e.variant,
+            source_path=str(e.image_path),
+        )
+        for e, img in zip(entries, images)
+    ]
+    return recognizer.build_gallery(model, records), model
+
+
 def run_experiment(config: ExperimentConfig) -> AccuracyTable:
     """Train on the deterministic split and classify every test image.
 
@@ -105,31 +132,9 @@ def run_experiment(config: ExperimentConfig) -> AccuracyTable:
     manifest = dataset_io.load_manifest(config.manifest_path)
     train_m, test_m = dataset_io.split_dataset(manifest, config.train_variants)
     need_dt = "dt_pca" in config.modes
-
-    train_images = []
-    dims = None
-    for e in train_m.entries:
-        img = load_image_checked(e.image_path, dims)
-        dims = (img.width, img.height)
-        train_images.append(img)
-
-    model = eigenface.fit_eigenmodel(train_images, config.k)
-    records = []
-    scheme_label = config.landmark_scheme_label
-    for e, img in zip(train_m.entries, train_images):
-        landmarks = load_landmarks_checked(e.landmark_path) if need_dt else None
-        records.append(
-            recognizer.TrainingRecord(
-                image=img,
-                landmarks=landmarks,
-                subject_id=e.subject_id,
-                variant=e.variant,
-                source_path=str(e.image_path),
-            )
-        )
-    gallery = recognizer.build_gallery(model, records)
-    if need_dt and not scheme_label:
-        scheme_label = str(gallery.scheme)
+    gallery, model = train_gallery(train_m.entries, config.k, with_landmarks=need_dt)
+    scheme_label = config.landmark_scheme_label or str(gallery.scheme)
+    dims = (model.width, model.height)
 
     test_images = [load_image_checked(e.image_path, dims) for e in test_m.entries]
     test_landmarks = [

@@ -11,6 +11,7 @@ with the smallest RV; ties break toward the lowest gallery index.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import eigenface, geometry
 from .dataset_io import ImageVector, LandmarkSet
-from .eigenface import EigenCoords, EigenModel
+from .eigenface import EigenModel
 
 DEFAULT_DT_DIVISOR = 0.001
 
@@ -45,38 +46,32 @@ class TrainingRecord:
 
 
 @dataclass(frozen=True)
-class GalleryEntry:
-    subject_id: str
-    variant: str
-    coords: EigenCoords
-    ra_avg: float | None
-    source_path: str
-
-
-@dataclass(frozen=True)
 class Gallery:
-    """Match database: one entry per training image.
+    """Match database: row i holds training image i.
 
-    scheme is the landmark count shared by every entry, or None when the
-    gallery was built without landmarks (usable in pca_only mode only).
+    coords is the (n, k) array of eigenspace coordinates and ra_avg the
+    (n,) array of average relative areas.  scheme is the landmark count
+    shared by every row; scheme and ra_avg are None when the gallery was
+    built without landmarks (usable in pca_only mode only).
     """
 
     scheme: int | None
-    entries: tuple[GalleryEntry, ...]
-
-
-@dataclass(frozen=True)
-class EntryScore:
-    ed: float
-    d: float
-    rv: float
+    subjects: tuple[str, ...]
+    variants: tuple[str, ...]
+    sources: tuple[str, ...]
+    coords: np.ndarray
+    ra_avg: np.ndarray | None
 
 
 @dataclass(frozen=True)
 class MatchReport:
+    """Per-row ED, D and RV arrays of one query, and the argmin row."""
+
     best_index: int
     best_subject: str
-    scores: tuple[EntryScore, ...]
+    ed: np.ndarray
+    d: np.ndarray
+    rv: np.ndarray
     mode: str
     dt_divisor: float
 
@@ -86,7 +81,8 @@ class MatchReport:
             "mode": self.mode,
             "dt_divisor": self.dt_divisor,
             "scores": [
-                {"ed": s.ed, "d": s.d, "rv": s.rv} for s in self.scores
+                {"ed": ed, "d": d, "rv": rv}
+                for ed, d, rv in zip(self.ed.tolist(), self.d.tolist(), self.rv.tolist())
             ],
         }
 
@@ -94,9 +90,9 @@ class MatchReport:
 def build_gallery(model: EigenModel, train) -> Gallery:
     """Project every training record and triangulate its landmarks.
 
-    Records without landmarks produce entries with ra_avg None; such a
-    gallery only supports pca_only matching.  All records must either have
-    landmarks with one common scheme, or none at all.
+    Records without landmarks give a gallery with ra_avg None, which only
+    supports pca_only matching.  All records must either have landmarks
+    with one common scheme, or none at all.
     """
     records = list(train)
     if not records:
@@ -106,37 +102,37 @@ def build_gallery(model: EigenModel, train) -> Gallery:
         raise ValueError(f"mixed landmark schemes in training set: {sorted(schemes)}")
     if schemes and any(r.landmarks is None for r in records):
         raise ValueError("some training records are missing landmarks")
-    entries = []
+    # One projection per image, not one matmul over all of them: a batched
+    # product can round differently, and a self-match must give RV == 0.
+    coords = []
+    ra_avg = []
     for rec in records:
-        coords = eigenface.project(model, rec.image)
-        ra_avg = None
+        coords.append(eigenface.project(model, rec.image))
         if rec.landmarks is not None:
             try:
-                ra_avg = geometry.delaunay(rec.landmarks).average_relative_area
+                ra_avg.append(geometry.delaunay(rec.landmarks).average_relative_area)
             except ValueError as exc:
                 where = rec.source_path or f"{rec.subject_id}/{rec.variant}"
                 raise ValueError(f"{where}: {exc}") from None
-        entries.append(
-            GalleryEntry(
-                subject_id=rec.subject_id,
-                variant=rec.variant,
-                coords=coords,
-                ra_avg=ra_avg,
-                source_path=rec.source_path,
-            )
-        )
-    return Gallery(scheme=schemes.pop() if schemes else None, entries=tuple(entries))
+    return Gallery(
+        scheme=schemes.pop() if schemes else None,
+        subjects=tuple(r.subject_id for r in records),
+        variants=tuple(r.variant for r in records),
+        sources=tuple(r.source_path for r in records),
+        coords=np.array(coords, dtype=float),
+        ra_avg=np.array(ra_avg, dtype=float) if ra_avg else None,
+    )
 
 
-def dt_difference(tt_avg: float, tn_avg: float) -> float:
-    """Positive difference of two average relative areas."""
+def dt_difference(tt_avg, tn_avg):
+    """Positive difference of two average relative areas (elementwise)."""
     return abs(tt_avg - tn_avg)
 
 
-def fused_score(ed: float, d: float, dt_divisor: float = DEFAULT_DT_DIVISOR) -> float:
-    """Resultant value RV = ED + D / dt_divisor."""
-    if dt_divisor <= 0:
-        raise ValueError(f"dt_divisor must be positive, got {dt_divisor}")
+def fused_score(ed, d, dt_divisor: float = DEFAULT_DT_DIVISOR):
+    """Resultant value RV = ED + D / dt_divisor (elementwise)."""
+    if not 0 < dt_divisor < math.inf:
+        raise ValueError(f"dt_divisor must be positive and finite, got {dt_divisor}")
     return ed + d / dt_divisor
 
 
@@ -148,17 +144,17 @@ def recognize(
     mode: str = "dt_pca",
     dt_divisor: float = DEFAULT_DT_DIVISOR,
 ) -> MatchReport:
-    """Score a test image against every gallery entry and pick the argmin RV.
+    """Score a test image against every gallery row and pick the argmin RV.
 
     In pca_only mode landmarks are ignored and D is reported as 0, so RV
     equals ED.  In dt_pca mode the test landmarks are required and their
-    scheme must equal the gallery's.
+    scheme must equal the gallery's.  Ties go to the lowest row index.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if dt_divisor <= 0:
-        raise ValueError(f"dt_divisor must be positive, got {dt_divisor}")
-    if not gallery.entries:
+    if not 0 < dt_divisor < math.inf:
+        raise ValueError(f"dt_divisor must be positive and finite, got {dt_divisor}")
+    if not gallery.subjects:
         raise ValueError("empty gallery")
 
     tt_avg = None
@@ -175,21 +171,25 @@ def recognize(
         tt_avg = geometry.delaunay(test_landmarks).average_relative_area
 
     coords = eigenface.project(model, test_image)
-    scores = []
-    for entry in gallery.entries:
-        ed = eigenface.eigen_distance(coords, entry.coords)
-        if mode == "pca_only":
-            d = 0.0
-            rv = ed
-        else:
-            d = dt_difference(tt_avg, entry.ra_avg)
-            rv = fused_score(ed, d, dt_divisor)
-        scores.append(EntryScore(ed=ed, d=d, rv=rv))
-    best = min(range(len(scores)), key=lambda i: scores[i].rv)
+    if gallery.coords.shape[1:] != coords.shape:
+        raise ValueError(f"coordinate length mismatch: {gallery.coords.shape} vs {coords.shape}")
+    diff = coords - gallery.coords
+    # np.vecdot reproduces eigen_distance's np.linalg.norm bit for bit;
+    # norm(axis=1) and einsum round some rows differently.
+    ed = np.sqrt(np.vecdot(diff, diff))
+    if mode == "pca_only":
+        d = np.zeros_like(ed)
+        rv = ed
+    else:
+        d = dt_difference(tt_avg, gallery.ra_avg)
+        rv = fused_score(ed, d, dt_divisor)
+    best = int(np.argmin(rv))
     return MatchReport(
         best_index=best,
-        best_subject=gallery.entries[best].subject_id,
-        scores=tuple(scores),
+        best_subject=gallery.subjects[best],
+        ed=ed,
+        d=d,
+        rv=rv,
         mode=mode,
         dt_divisor=dt_divisor,
     )
@@ -215,21 +215,19 @@ def save_gallery(gallery: Gallery, model: EigenModel, path) -> None:
     Requires a landmark-complete gallery; a pca-only internal gallery has
     no file representation.
     """
-    if gallery.scheme is None or any(e.ra_avg is None for e in gallery.entries):
+    if gallery.scheme is None or gallery.ra_avg is None:
         raise ValueError("cannot save a gallery built without landmarks")
     obj = {
         "format_version": GALLERY_FORMAT_VERSION,
         "model": eigenface.model_to_dict(model),
         "scheme": gallery.scheme,
         "entries": [
-            {
-                "subject": e.subject_id,
-                "variant": e.variant,
-                "ra_avg": float(e.ra_avg),
-                "coords": [float(c) for c in e.coords],
-                "source": e.source_path,
-            }
-            for e in gallery.entries
+            {"subject": subject, "variant": variant, "ra_avg": ra, "coords": coords,
+             "source": source}
+            for subject, variant, ra, coords, source in zip(
+                gallery.subjects, gallery.variants, gallery.ra_avg.tolist(),
+                gallery.coords.tolist(), gallery.sources,
+            )
         ],
     }
     atomic_write_text(path, json.dumps(obj) + "\n")
@@ -237,10 +235,7 @@ def save_gallery(gallery: Gallery, model: EigenModel, path) -> None:
 
 def load_gallery(path) -> tuple[Gallery, EigenModel]:
     """Load a gallery file; the reload reproduces matching bit-exactly."""
-    try:
-        text = Path(path).read_text()
-    except OSError:
-        raise
+    text = Path(path).read_text()
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -256,28 +251,34 @@ def load_gallery(path) -> tuple[Gallery, EigenModel]:
         raw_entries = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise GalleryFormatError(f"{path}: {exc}") from None
-    entries = []
+    if not isinstance(raw_entries, list):
+        raise GalleryFormatError(f"{path}: entries must be a list")
+    rows = []
     for i, raw in enumerate(raw_entries):
         try:
-            coords = np.array(raw["coords"], dtype=float)
-            entry = GalleryEntry(
-                subject_id=str(raw["subject"]),
-                variant=str(raw["variant"]),
-                coords=coords,
-                ra_avg=float(raw["ra_avg"]),
-                source_path=str(raw.get("source", "")),
+            row = (
+                np.array(raw["coords"], dtype=float),
+                str(raw["subject"]),
+                str(raw["variant"]),
+                float(raw["ra_avg"]),
+                str(raw.get("source", "")),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise GalleryFormatError(f"{path}: entry {i}: {exc}") from None
-        if len(entry.coords) != model.k:
+        coords, _, _, ra, _ = row
+        if coords.shape != (model.k,):
             raise GalleryFormatError(
-                f"{path}: entry {i} has {len(entry.coords)} coords, model k={model.k}"
+                f"{path}: entry {i} has {coords.size} coords, model k={model.k}"
             )
-        if not 0 < entry.ra_avg <= 1:
-            raise GalleryFormatError(
-                f"{path}: entry {i} ra_avg {entry.ra_avg} outside (0, 1]"
-            )
-        entries.append(entry)
-    if not entries:
+        if not 0 < ra <= 1:
+            raise GalleryFormatError(f"{path}: entry {i} ra_avg {ra} outside (0, 1]")
+        rows.append(row)
+    if not rows:
         raise GalleryFormatError(f"{path}: gallery has no entries")
-    return Gallery(scheme=scheme, entries=tuple(entries)), model
+    coords, subjects, variants, ra_avg, sources = zip(*rows)
+    coords = np.array(coords)
+    arrays = (coords, model.mean, model.eigenvectors, model.eigenvalues)
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise GalleryFormatError(f"{path}: non-finite coordinate or model value")
+    gallery = Gallery(scheme, subjects, variants, sources, coords, np.array(ra_avg))
+    return gallery, model

@@ -249,7 +249,7 @@ def test_c07_self_match(table_dataset, tmp_path):
     for i, (img, lmk, e) in enumerate(zip(images, landmarks, src.entries)):
         for mode, lm in (("pca_only", None), ("dt_pca", lmk)):
             rep = recognizer.recognize(gallery, model, img, lm, mode)
-            if rep.best_index != i or rep.scores[i].rv != 0.0:
+            if rep.best_index != i or rep.rv[i] != 0.0:
                 zero_rv = False
     check(
         "C7 self match",
@@ -293,8 +293,8 @@ def test_c08_fusion_audit_fixture():
     pca = recognizer.recognize(gallery, model, test_image, None, "pca_only")
     fused = recognizer.recognize(gallery, model, test_image, fan(0.3), "dt_pca")
     agrees = all(
-        abs(s.ed - e) <= 1e-12 and abs(s.d - dd) <= 1e-12 and abs(s.rv - r) <= 1e-9
-        for s, e, dd, r in zip(fused.scores, ed, d, rv)
+        abs(s_ed - e) <= 1e-12 and abs(s_d - dd) <= 1e-12 and abs(s_rv - r) <= 1e-9
+        for s_ed, s_d, s_rv, e, dd, r in zip(fused.ed, fused.d, fused.rv, ed, d, rv)
     )
     flipped = (
         pca.best_subject == "A"

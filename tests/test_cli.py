@@ -201,6 +201,41 @@ def test_recognize_pca_only_ignores_landmarks(capsys, synth_dataset, trained_gal
     assert all(s["d"] == 0.0 for s in report["scores"])
 
 
+@pytest.mark.parametrize("divisor", ["0", "-1", "nan", "inf"])
+def test_recognize_rejects_bad_divisor(capsys, synth_dataset, trained_gallery, divisor):
+    root = synth_dataset["root"]
+    rc, out, err = run_cli(
+        capsys,
+        "recognize",
+        "--gallery", str(trained_gallery),
+        "--image", str(root / "images" / "s03_v2.pgm"),
+        "--landmarks", str(root / "landmarks68" / "s03_v2.csv"),
+        "--mode", "dt-pca",
+        "--dt-divisor", divisor,
+    )
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: usage:")
+
+
+def test_recognize_non_finite_gallery_exits_2(capsys, synth_dataset, trained_gallery, tmp_path):
+    obj = json.loads(trained_gallery.read_text())
+    obj["entries"][3]["coords"][0] = float("nan")
+    corrupt = tmp_path / "corrupt.json"
+    corrupt.write_text(json.dumps(obj))
+    root = synth_dataset["root"]
+    rc, out, err = run_cli(
+        capsys,
+        "recognize",
+        "--gallery", str(corrupt),
+        "--image", str(root / "images" / "s03_v2.pgm"),
+        "--mode", "pca-only",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: data:") and "non-finite" in err
+
+
 # --- evaluate ---------------------------------------------------------------------
 
 def test_evaluate_text_report(capsys, synth_dataset):
@@ -258,6 +293,22 @@ def test_evaluate_rejects_bad_modes(capsys, synth_dataset):
         "--report", "text",
     )
     assert rc == 1
+    assert err.startswith("error: usage:")
+
+
+@pytest.mark.parametrize("divisor", ["0", "-1", "nan", "inf"])
+def test_evaluate_rejects_bad_divisor(capsys, synth_dataset, divisor):
+    rc, out, err = run_cli(
+        capsys,
+        "evaluate",
+        "--manifest", str(synth_dataset["manifest"]),
+        "--train-variants", "3",
+        "--modes", "pca-only,dt-pca",
+        "--dt-divisor", divisor,
+        "--report", "text",
+    )
+    assert rc == 1
+    assert out == ""
     assert err.startswith("error: usage:")
 
 

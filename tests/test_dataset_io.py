@@ -154,6 +154,14 @@ def test_load_landmarks_unparsable(tmp_path):
         load_landmarks(path)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "Infinity"])
+def test_load_landmarks_non_finite(tmp_path, token):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"0,0\n4,{token}\n2,3\n1,1\n")
+    with pytest.raises(DatasetFormatError, match=r"nonfinite\.csv:2: non-finite"):
+        load_landmarks(path)
+
+
 def test_load_landmarks_crlf_and_decimals(tmp_path):
     path = tmp_path / "crlf.csv"
     path.write_bytes(b"0.5,0.25\r\n4.125,0\r\n2,3.75\r\n")

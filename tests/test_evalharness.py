@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import pytest
 
@@ -52,8 +53,9 @@ def test_config_validation():
         ExperimentConfig(manifest_path="m", train_variants=0)
     with pytest.raises(ValueError):
         ExperimentConfig(manifest_path="m", train_variants=1, k=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(manifest_path="m", train_variants=1, dt_divisor=0.0)
+    for divisor in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ExperimentConfig(manifest_path="m", train_variants=1, dt_divisor=divisor)
     with pytest.raises(ValueError):
         ExperimentConfig(manifest_path="m", train_variants=1, modes=("nearest",))
     with pytest.raises(ValueError):

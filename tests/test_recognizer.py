@@ -1,11 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from dtpca import geometry
 from dtpca.dataset_io import ImageVector, LandmarkSet
-from dtpca.eigenface import fit_eigenmodel
+from dtpca.eigenface import eigen_distance, fit_eigenmodel, project
 from dtpca.recognizer import (
     GalleryFormatError,
     TrainingRecord,
@@ -84,6 +86,10 @@ def test_fused_score_rejects_bad_divisor():
         fused_score(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         fused_score(1.0, 1.0, -2.0)
+    with pytest.raises(ValueError):
+        fused_score(1.0, 1.0, math.nan)
+    with pytest.raises(ValueError):
+        fused_score(1.0, 1.0, math.inf)
 
 
 @given(
@@ -108,9 +114,9 @@ def test_build_gallery_single_entry(flip_fixture):
     g = build_gallery(
         model, [TrainingRecord(one_pixel(1.0), fan_landmarks(0.5), "s", "v", "")]
     )
-    assert len(g.entries) == 1
+    assert len(g.subjects) == 1
     assert g.scheme == 4
-    assert g.entries[0].ra_avg == pytest.approx(fan_ra_avg(0.5), rel=1e-12)
+    assert g.ra_avg[0] == pytest.approx(fan_ra_avg(0.5), rel=1e-12)
     # Any test image matches the lone entry.
     report = recognize(g, model, one_pixel(0.0), fan_landmarks(0.9), "dt_pca")
     assert report.best_index == 0 and report.best_subject == "s"
@@ -154,17 +160,16 @@ def test_self_match_is_exactly_zero(flip_fixture):
     report = recognize(gallery, model, one_pixel(1.0), fan_landmarks(0.9), "dt_pca")
     assert report.best_index == 0
     assert report.best_subject == "subjA"
-    assert report.scores[0].ed == 0.0
-    assert report.scores[0].d == 0.0
-    assert report.scores[0].rv == 0.0
+    assert report.ed[0] == 0.0
+    assert report.d[0] == 0.0
+    assert report.rv[0] == 0.0
 
 
 def test_pca_only_ranking_is_argmin_ed(flip_fixture):
     model, gallery, test_image, _ = flip_fixture
     report = recognize(gallery, model, test_image, None, "pca_only")
-    eds = [s.ed for s in report.scores]
-    assert report.best_index == int(np.argmin(eds))
-    assert all(s.d == 0.0 and s.rv == s.ed for s in report.scores)
+    assert report.best_index == int(np.argmin(report.ed))
+    assert np.all(report.d == 0.0) and np.array_equal(report.rv, report.ed)
 
 
 def test_fusion_flips_argmin(flip_fixture):
@@ -186,10 +191,79 @@ def test_fusion_flips_argmin(flip_fixture):
     fused = recognize(gallery, model, test_image, test_landmarks, "dt_pca")
     assert fused.best_subject == "subjB"
     assert fused.best_index == int(np.argmin(rv_oracle))
-    for score, ed, d, rv in zip(fused.scores, ed_oracle, d_oracle, rv_oracle):
-        assert score.ed == pytest.approx(ed, abs=1e-12)
-        assert score.d == pytest.approx(d, abs=1e-12)
-        assert score.rv == pytest.approx(rv, abs=1e-9)
+    for s_ed, s_d, s_rv, ed, d, rv in zip(
+        fused.ed, fused.d, fused.rv, ed_oracle, d_oracle, rv_oracle
+    ):
+        assert s_ed == pytest.approx(ed, abs=1e-12)
+        assert s_d == pytest.approx(d, abs=1e-12)
+        assert s_rv == pytest.approx(rv, abs=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["pca_only", "dt_pca"])
+def test_vector_scores_equal_scalar_ops_bitwise(mode):
+    # The scalar eigen_distance / dt_difference / fused_score per row are
+    # the reference; the one-pass scorer must reproduce them exactly.
+    rng = np.random.default_rng(11)
+    width, height, n, k = 9, 7, 40, 25
+
+    def image():
+        return ImageVector(width, height, rng.uniform(0, 1, width * height))
+
+    def landmarks():
+        return LandmarkSet(points=rng.uniform(0, 100, (12, 2)), scheme=12)
+
+    records = [
+        TrainingRecord(image(), landmarks(), f"s{i % 8}", f"v{i}", "") for i in range(n)
+    ]
+    model = fit_eigenmodel([r.image for r in records], k=k)
+    assert model.k == k
+    gallery = build_gallery(model, records)
+    for _ in range(5):
+        test_image, test_landmarks = image(), landmarks()
+        report = recognize(
+            gallery, model, test_image, test_landmarks, mode, dt_divisor=0.003
+        )
+        q = project(model, test_image)
+        tt_avg = geometry.delaunay(test_landmarks).average_relative_area
+        ed, d, rv = [], [], []
+        for rec in records:
+            ed.append(eigen_distance(q, project(model, rec.image)))
+            if mode == "pca_only":
+                d.append(0.0)
+                rv.append(ed[-1])
+            else:
+                ra = geometry.delaunay(rec.landmarks).average_relative_area
+                d.append(dt_difference(tt_avg, ra))
+                rv.append(fused_score(ed[-1], d[-1], 0.003))
+        assert report.ed.tolist() == ed
+        assert report.d.tolist() == d
+        assert report.rv.tolist() == rv
+        assert report.best_index == min(range(n), key=lambda i: rv[i])
+        assert report.best_subject == records[report.best_index].subject_id
+
+
+@pytest.mark.parametrize("mode", ["pca_only", "dt_pca"])
+def test_duplicate_entries_tie_to_lowest_index(mode):
+    model = fit_eigenmodel([one_pixel(0.0), one_pixel(1.0)], k=1)
+    records = [
+        TrainingRecord(one_pixel(0.0), fan_landmarks(0.9), "far", "v1", ""),
+        TrainingRecord(one_pixel(1.0), fan_landmarks(0.3), "first", "v1", ""),
+        TrainingRecord(one_pixel(0.0), fan_landmarks(0.9), "far", "v2", ""),
+        TrainingRecord(one_pixel(1.0), fan_landmarks(0.3), "second", "v1", ""),
+    ]
+    gallery = build_gallery(model, records)
+    report = recognize(gallery, model, one_pixel(0.9), fan_landmarks(0.3), mode)
+    assert report.rv[1] == report.rv[3] == report.rv.min()
+    assert report.best_index == 1
+    assert report.best_subject == "first"
+
+
+@pytest.mark.parametrize("divisor", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("mode", ["pca_only", "dt_pca"])
+def test_recognize_rejects_bad_divisor(flip_fixture, mode, divisor):
+    model, gallery, test_image, test_landmarks = flip_fixture
+    with pytest.raises(ValueError, match="dt_divisor"):
+        recognize(gallery, model, test_image, test_landmarks, mode, dt_divisor=divisor)
 
 
 def test_huge_divisor_matches_pca_only(flip_fixture):
@@ -257,9 +331,8 @@ def test_gallery_round_trip_bit_identical_reports(tmp_path, flip_fixture):
     r1 = recognize(gallery, model, test_image, test_landmarks, "dt_pca")
     r2 = recognize(gallery2, model2, test_image, test_landmarks, "dt_pca")
     assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
-    for e1, e2 in zip(gallery.entries, gallery2.entries):
-        assert np.array_equal(e1.coords, e2.coords)
-        assert e1.ra_avg == e2.ra_avg
+    assert np.array_equal(gallery.coords, gallery2.coords)
+    assert np.array_equal(gallery.ra_avg, gallery2.ra_avg)
 
 
 def test_load_gallery_truncated(tmp_path, flip_fixture):
@@ -299,6 +372,35 @@ def test_load_gallery_ra_avg_out_of_range(tmp_path, flip_fixture):
     save_gallery(gallery, model, path)
     obj = json.loads(path.read_text())
     obj["entries"][0]["ra_avg"] = 1.5
+    path.write_text(json.dumps(obj))
+    with pytest.raises(GalleryFormatError):
+        load_gallery(path)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("where", ["coords", "mean", "eigenvectors", "eigenvalues"])
+def test_load_gallery_rejects_non_finite(tmp_path, flip_fixture, where, value):
+    model, gallery, *_ = flip_fixture
+    path = tmp_path / "gallery.json"
+    save_gallery(gallery, model, path)
+    obj = json.loads(path.read_text())
+    if where == "coords":
+        obj["entries"][1]["coords"][0] = value
+    elif where == "eigenvectors":
+        obj["model"]["eigenvectors"][0][0] = value
+    else:
+        obj["model"][where][0] = value
+    path.write_text(json.dumps(obj))
+    with pytest.raises(GalleryFormatError, match="non-finite"):
+        load_gallery(path)
+
+
+def test_load_gallery_entries_not_a_list(tmp_path, flip_fixture):
+    model, gallery, *_ = flip_fixture
+    path = tmp_path / "gallery.json"
+    save_gallery(gallery, model, path)
+    obj = json.loads(path.read_text())
+    obj["entries"] = 5
     path.write_text(json.dumps(obj))
     with pytest.raises(GalleryFormatError):
         load_gallery(path)
