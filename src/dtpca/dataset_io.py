@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import geometry
+
 
 class DatasetFormatError(ValueError):
     """A dataset file exists but its contents are not in the expected format."""
@@ -190,14 +192,11 @@ def load_landmarks(path) -> LandmarkSet:
 
 
 def _all_collinear(points) -> bool:
-    (ax, ay) = points[0]
-    base = next(((x, y) for x, y in points[1:] if (x, y) != (ax, ay)), None)
-    if base is None:
+    a = points[0]
+    b = next((p for p in points[1:] if p != a), None)
+    if b is None:
         return True
-    bx, by = base
-    return all(
-        (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) == 0 for cx, cy in points[1:]
-    )
+    return all(geometry.orientation(a, b, c) == 0 for c in points[1:])
 
 
 MANIFEST_HEADER = ["image_path", "subject_id", "variant", "landmark_path"]

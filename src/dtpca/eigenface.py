@@ -173,11 +173,23 @@ def model_to_dict(model: EigenModel) -> dict:
     }
 
 
+def json_int(obj: dict, key: str) -> int:
+    """A positive JSON integer field; floats and bools are rejected, not
+    truncated.  Raises KeyError or ValueError."""
+    value = obj[key]
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{key} must be a positive integer, got {value!r}")
+    return value
+
+
 def model_from_dict(obj: dict) -> EigenModel:
+    """Rebuild a model from model_to_dict output, rejecting anything
+    fit_eigenmodel cannot have written: non-integer sizes, mismatched
+    shapes, and eigenvalues that are negative or increase."""
     try:
-        width = int(obj["width"])
-        height = int(obj["height"])
-        k = int(obj["k"])
+        width = json_int(obj, "width")
+        height = json_int(obj, "height")
+        k = json_int(obj, "k")
         mean = np.array(obj["mean"], dtype=float)
         eigenvalues = np.array(obj["eigenvalues"], dtype=float)
         eigenvectors = np.array(obj["eigenvectors"], dtype=float)
@@ -187,6 +199,8 @@ def model_from_dict(obj: dict) -> EigenModel:
         raise ValueError("eigenmodel k does not match its eigenvector count")
     if len(mean) != width * height or eigenvectors.shape[1] != width * height:
         raise ValueError("eigenmodel vector length does not match dimensions")
+    if np.any(eigenvalues < 0) or np.any(np.diff(eigenvalues) > 0):
+        raise ValueError("eigenvalues must be non-negative and non-increasing")
     return EigenModel(
         width=width,
         height=height,

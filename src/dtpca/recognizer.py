@@ -247,7 +247,7 @@ def load_gallery(path) -> tuple[Gallery, EigenModel]:
         raise GalleryFormatError(f"{path}: unsupported format_version {version!r}")
     try:
         model = eigenface.model_from_dict(obj["model"])
-        scheme = int(obj["scheme"])
+        scheme = eigenface.json_int(obj, "scheme")
         raw_entries = obj["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise GalleryFormatError(f"{path}: {exc}") from None

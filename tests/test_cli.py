@@ -54,6 +54,20 @@ def test_triangulate_out_file(tmp_path, capsys, write_landmarks):
     assert len(mesh["triangles"]) == 3
 
 
+def scaled_landmarks(synth_dataset, write_landmarks, factor=1e150):
+    pts = load_landmarks(synth_dataset["root"] / "landmarks68" / "s03_v2.csv").points
+    return write_landmarks("scaled.csv", (pts * factor).tolist())
+
+
+def test_triangulate_overflowing_areas_exits_2(capsys, synth_dataset, write_landmarks):
+    # Heron's formula overflows to inf near 1e150; this used to print NaN.
+    path = scaled_landmarks(synth_dataset, write_landmarks)
+    rc, out, err = run_cli(capsys, "triangulate", "--landmarks", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: data:") and "non-finite" in err
+
+
 def test_triangulate_missing_file(tmp_path, capsys):
     rc, out, err = run_cli(
         capsys, "triangulate", "--landmarks", str(tmp_path / "none.csv")
@@ -230,6 +244,24 @@ def test_recognize_non_finite_gallery_exits_2(capsys, synth_dataset, trained_gal
         "--gallery", str(corrupt),
         "--image", str(root / "images" / "s03_v2.pgm"),
         "--mode", "pca-only",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: data:") and "non-finite" in err
+
+
+def test_recognize_overflowing_landmarks_exits_2(
+    capsys, synth_dataset, trained_gallery, write_landmarks
+):
+    # Used to exit 0 with index 0 and rv NaN on every row.
+    path = scaled_landmarks(synth_dataset, write_landmarks)
+    rc, out, err = run_cli(
+        capsys,
+        "recognize",
+        "--gallery", str(trained_gallery),
+        "--image", str(synth_dataset["root"] / "images" / "s03_v2.pgm"),
+        "--landmarks", str(path),
+        "--mode", "dt-pca",
     )
     assert rc == 2
     assert out == ""

@@ -32,6 +32,12 @@ def test_incircle_outside():
     assert in_circumcircle((0, 0), (1, 0), (0, 1), (2, 2)) == "outside"
 
 
+def test_incircle_near_cocircular_is_not_on():
+    # 2**-44 off the circle: a relative tolerance band used to call it "on".
+    assert in_circumcircle((0, 0), (1, 0), (0, 1), (1, 1 + 2**-44)) == "outside"
+    assert in_circumcircle((0, 0), (1, 0), (0, 1), (1, 1 - 2**-44)) == "inside"
+
+
 def test_incircle_collinear_raises():
     with pytest.raises(ValueError):
         in_circumcircle((0, 0), (1, 1), (2, 2), (0, 1))
@@ -260,7 +266,7 @@ def test_delaunay_properties_on_grids(pts):
         tri = delaunay(arr)
     except ValueError:
         # Only an all-collinear set may be rejected.
-        assert _all_collinear(arr)
+        assert oracles.all_collinear(arr)
         return
     assert empty_circumcircle_violations(arr, tri.triangles) == []
     assert {i for t in tri.triangles for i in t} == set(range(len(arr)))
@@ -271,12 +277,60 @@ def test_delaunay_properties_on_grids(pts):
     assert 0 < tri.average_relative_area <= 1.0
 
 
-def _all_collinear(arr):
-    a = arr[0]
-    b = next((p for p in arr[1:] if not np.array_equal(p, a)), None)
-    if b is None:
-        return True
-    return all(abs(oracles.orient_raw(a, b, c)) == 0 for c in arr[1:])
+def _distinct(points):
+    arr = np.array(points, dtype=float)
+    _, first = np.unique(arr, axis=0, return_index=True)
+    return arr[np.sort(first)]
+
+
+@st.composite
+def jittered_grids(draw):
+    cells = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                          min_size=3, max_size=24, unique=True))
+    jitter = draw(st.lists(st.floats(-1e-14, 1e-14), min_size=2 * len(cells),
+                           max_size=2 * len(cells)))
+    return np.array(cells, dtype=float) + np.reshape(jitter, (-1, 2))
+
+
+@st.composite
+def near_collinear(draw):
+    xs = draw(st.lists(st.floats(0, 10), min_size=3, max_size=16, unique=True))
+    noise = draw(st.lists(st.floats(-1e-13, 1e-13), min_size=len(xs), max_size=len(xs)))
+    x = np.array(xs)
+    return np.column_stack([x, 0.5 * x + 1.0 + np.array(noise)])
+
+
+unit_clouds = st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=3, max_size=20)
+# 1e150 overflows the in-circle determinant and Heron's formula; the thin
+# 1e78 strip overflows the determinant only, so its meshes are returned.
+scaled_clouds = st.builds(
+    lambda pts, scale: _distinct(np.array(pts) * scale),
+    unit_clouds, st.sampled_from([(1e150, 1e150), (1e78, 1e75)]),
+)
+offset_clouds = unit_clouds.map(lambda pts: _distinct(1e8 + np.array(pts)))
+
+
+@pytest.mark.parametrize(
+    "family", [jittered_grids(), near_collinear(), offset_clouds, scaled_clouds],
+    ids=["grid-jitter-1e-14", "near-collinear-1e-13", "offset-1e8", "scaled"],
+)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_delaunay_exact_on_degenerate_inputs(family, data):
+    # Float predicates with a tolerance band gave non-Delaunay meshes or
+    # false "degenerate hull" errors on these; exact arithmetic decides.
+    pts = data.draw(family)
+    if len(pts) < 3:
+        return
+    try:
+        tri = delaunay(pts)
+    except ValueError as exc:
+        # Only a collinear set, or one whose Heron areas overflow or all
+        # vanish, may be rejected.
+        assert oracles.all_collinear(pts) or "area" in str(exc), exc
+        return
+    assert {i for t in tri.triangles for i in t} == set(range(len(pts)))
+    assert oracles.exact_violations(pts, tri.triangles) == []
 
 
 def test_delaunay_random_suite_validity_counts_areas():

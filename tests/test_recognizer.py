@@ -395,6 +395,42 @@ def test_load_gallery_rejects_non_finite(tmp_path, flip_fixture, where, value):
         load_gallery(path)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda obj: obj.update(scheme=obj["scheme"] + 0.9),
+        lambda obj: obj.update(scheme=True),
+        lambda obj: obj["model"].update(k=obj["model"]["k"] + 0.7),
+        lambda obj: obj["model"].update(width=obj["model"]["width"] + 0.5),
+        lambda obj: obj["model"].update(height=float(obj["model"]["height"])),
+        lambda obj: obj["model"]["eigenvalues"].__setitem__(-1, -5.0),
+        lambda obj: obj["model"]["eigenvalues"].reverse(),
+    ],
+    ids=["scheme-float", "scheme-bool", "k-float", "width-float", "height-float",
+         "negative-eigenvalue", "ascending-eigenvalues"],
+)
+def test_load_gallery_rejects_fields_fit_never_writes(tmp_path, edit):
+    # int() used to truncate these fields, and any eigenvalues loaded.
+    images = [
+        ImageVector(width=2, height=1, values=np.array(v))
+        for v in ([0.0, 0.0], [1.0, 0.2], [0.3, 1.0])
+    ]
+    model = fit_eigenmodel(images, k=2)
+    assert model.eigenvalues[0] > model.eigenvalues[1] > 0
+    records = [
+        TrainingRecord(img, fan_landmarks(0.3 + 0.2 * i), f"s{i}", "v1", "")
+        for i, img in enumerate(images)
+    ]
+    path = tmp_path / "gallery.json"
+    save_gallery(build_gallery(model, records), model, path)
+    load_gallery(path)
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(GalleryFormatError):
+        load_gallery(path)
+
+
 def test_load_gallery_entries_not_a_list(tmp_path, flip_fixture):
     model, gallery, *_ = flip_fixture
     path = tmp_path / "gallery.json"
