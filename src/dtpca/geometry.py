@@ -5,13 +5,16 @@ any triangle's circumcircle.  The mesh is then reduced to a scalar shape
 descriptor: per-triangle areas from edge lengths (Heron), areas normalized
 by the largest triangle, and the arithmetic mean of those ratios.
 
-The triangulation is built by inserting points in lexicographic order
-(each new point is outside the hull of its predecessors, so no point
-location is needed) and restoring the empty-circumcircle property with
-edge flips.  Degenerate cocircular quads are resolved deterministically:
-the kept diagonal is the one whose lowest vertex index is smallest.  Every
-orientation and in-circle sign is exact: a floating-point filter decides
-almost all of them, and the rest are recomputed with Fractions.
+The triangulation is a halfedge sweep.  Points are inserted in lexicographic
+order, so each new point is outside the hull of its predecessors and sees a
+run of hull edges that touches the point inserted just before it; walking
+the hull ring both ways from that point finds the run.  The new point is
+fanned onto the run, and Lawson flips legalize only the edges opposite it
+(Guibas and Stolfi 1985).  Degenerate cocircular quads are resolved
+deterministically: the kept diagonal is the one whose lowest vertex index
+is smallest.  Every orientation and in-circle sign is exact: a
+floating-point filter decides almost all of them, and the rest are
+recomputed with Fractions.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ class Triangulation:
 
     points: (n, 2) float array of the triangulated coordinates.
     triangles: ascending-index triples, sorted canonically.
-    areas: per-triangle area in coordinate-unit**2 (Heron, from edge lengths).
+    areas: per-triangle area in coordinate-unit**2 (Heron, from edge lengths;
+        half the exact orientation determinant where Heron rounds to 0).
     relative_areas: areas / max(areas), so max(relative_areas) == 1 exactly.
     average_relative_area: arithmetic mean of relative_areas.
     """
@@ -158,12 +162,18 @@ def _incircle(ax, ay, bx, by, cx, cy, px, py):
     return det, permanent
 
 
-def _sign(kernel, bound, *coords) -> int:
-    """Exact sign of a kernel's determinant at float coordinates: the
+def _exact(kernel, bound, *coords):
+    """A kernel's determinant at float coordinates with its exact sign: the
     double result when it passes the filter, else the kernel on Fractions."""
     det, permanent = kernel(*coords)
     if not abs(det) > bound * permanent + TINY:
         det, _ = kernel(*map(Fraction, coords))
+    return det
+
+
+def _sign(kernel, bound, *coords) -> int:
+    """Exact sign of a kernel's determinant at float coordinates."""
+    det = _exact(kernel, bound, *coords)
     return (det > 0) - (det < 0)
 
 
@@ -249,132 +259,167 @@ def delaunay(landmarks) -> Triangulation:
     xs = pts[:, 0].tolist()
     ys = pts[:, 1].tolist()
 
-    # Edge map: (u, v) with u < v  ->  list of opposite vertices (1 or 2).
-    opposite: dict[tuple[int, int], list[int]] = {}
+    # Halfedge mesh: triangle t is tri[3t:3t+3], counterclockwise, and
+    # halfedge e runs from tri[e] to the next corner of its triangle.
+    # twin[e] is the opposite halfedge, or -1 on the hull.  Both lists are
+    # sized once for the 2n - 5 triangles n points can have at most (lists
+    # grown per triangle leave the heap fragmented for the caller's large
+    # arrays); size counts the halfedges in use.
+    tri = [0] * (6 * n)
+    twin = [-1] * (6 * n)
+    size = 0
+    # Counterclockwise hull ring; hull_he[v] is the halfedge v -> hull_next[v].
+    hull_next = [0] * n
+    hull_prev = [0] * n
+    hull_he = [0] * n
 
-    def add_triangle(a, b, c):
-        for u, v, w in ((a, b, c), (b, c, a), (a, c, b)):
-            key = (u, v) if u < v else (v, u)
-            opposite.setdefault(key, []).append(w)
+    def link(a, b):
+        twin[a] = b
+        if b >= 0:
+            twin[b] = a
 
-    def incircle_sign(u, v, c, d):
-        # 1 when d is strictly inside the circumcircle of triangle (u, v, c),
-        # 0 on it, -1 outside.  Triangles here are never degenerate.
-        ux, uy, vx, vy, cx, cy = xs[u], ys[u], xs[v], ys[v], xs[c], ys[c]
-        dx, dy = xs[d], ys[d]
-        odet, operm = _orient(ux, uy, vx, vy, cx, cy)
-        det, perm = _incircle(ux, uy, vx, vy, cx, cy, dx, dy)
-        if abs(odet) > ORIENT_BOUND * operm + TINY and abs(det) > INCIRCLE_BOUND * perm + TINY:
-            return 1 if (det > 0) == (odet > 0) else -1
-        return _sign(_orient, ORIENT_BOUND, ux, uy, vx, vy, cx, cy) * _sign(
-            _incircle, INCIRCLE_BOUND, ux, uy, vx, vy, cx, cy, dx, dy
-        )
+    def incircle_sign(a, b, c, d):
+        # 1 when d is strictly inside the circumcircle of the counterclockwise
+        # triangle (a, b, c), 0 on it, -1 outside.
+        coords = (xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[d], ys[d])
+        det, perm = _incircle(*coords)
+        if abs(det) > INCIRCLE_BOUND * perm + TINY:
+            return 1 if det > 0 else -1
+        return _sign(_incircle, INCIRCLE_BOUND, *coords)
 
-    def flip(key, c, d):
-        # Swap the diagonal (u, v) of the quad u-c-v-d for (c, d).
-        u, v = key
-        del opposite[key]
-        for a, b, old, new in ((u, c, v, d), (v, c, u, d), (u, d, v, c), (v, d, u, c)):
-            lst = opposite[(a, b) if a < b else (b, a)]
-            lst[lst.index(old)] = new
-        opposite[(c, d) if c < d else (d, c)] = [u, v]
+    def flip(a):
+        # Swap the diagonal shared by halfedge a in triangle (pr, pl, p0) and
+        # its twin b in (pl, pr, p1): they become (p1, pl, p0) and
+        # (p0, pr, p1).  Returns br, the halfedge pr -> p1, now opposite p0.
+        b = twin[a]
+        a0 = a - a % 3
+        b0 = b - b % 3
+        ar = a0 + (a + 2) % 3
+        bl = b0 + (b + 2) % 3
+        p0, p1 = tri[ar], tri[bl]
+        tri[a] = p1
+        tri[b] = p0
+        hbl, har = twin[bl], twin[ar]
+        if hbl < 0:  # hull edge p1 -> pl moved from slot bl to slot a
+            hull_he[p1] = a
+        if har < 0:  # hull edge p0 -> pr moved from slot ar to slot b
+            hull_he[p0] = b
+        link(a, hbl)
+        link(b, har)
+        link(ar, bl)
+        return b0 + (b + 1) % 3
 
-    def legalize(stack):
-        # Lawson flips: while an edge's opposite vertex lies strictly inside
-        # the circumcircle across it, swap the quad's diagonal.
-        while stack:
-            u, v = stack.pop()
-            key = (u, v) if u < v else (v, u)
-            opp = opposite.get(key)
-            if opp is None or len(opp) != 2:
-                continue
-            c, d = opp
-            if incircle_sign(u, v, c, d) <= 0:
-                continue
-            flip(key, c, d)
-            stack.append((u, c))
-            stack.append((v, c))
-            stack.append((u, d))
-            stack.append((v, d))
+    def right_of(a, b, px, py):
+        # _orient(a, b, p) < 0, with its float filter inlined.
+        t1 = (xs[b] - xs[a]) * (py - ys[a])
+        t2 = (ys[b] - ys[a]) * (px - xs[a])
+        if abs(t1 - t2) > ORIENT_BOUND * (abs(t1) + abs(t2)) + TINY:
+            return t1 < t2
+        return _sign(_orient, ORIENT_BOUND, xs[a], ys[a], xs[b], ys[b], px, py) < 0
 
-    hull: list[int] = []  # counterclockwise vertex ring once 2D
     chain: list[int] = []  # leading collinear run, in sorted order
-
-    for idx in order:
-        i = int(idx)
-        if not hull:
-            if len(chain) < 2:
-                chain.append(i)
-                continue
-            c0, cl = chain[0], chain[-1]
-            side = _sign(_orient, ORIENT_BOUND, xs[c0], ys[c0], xs[cl], ys[cl], xs[i], ys[i])
+    last = -1  # the point inserted last, once the mesh is 2D
+    for i in order.tolist():
+        px, py = xs[i], ys[i]
+        if last < 0:
+            side = 0
+            if len(chain) >= 2:
+                c0, cl = chain[0], chain[-1]
+                side = _sign(_orient, ORIENT_BOUND, xs[c0], ys[c0], xs[cl], ys[cl], px, py)
             if side == 0:
                 chain.append(i)
                 continue
-            # First off-line point: fan it against the whole chain.
-            for a, b in zip(chain, chain[1:]):
-                add_triangle(a, b, i)
-            hull = chain + [i] if side > 0 else chain[::-1] + [i]
-            chain = []
+            # First off-line point: fan it onto the chain, closing the first
+            # counterclockwise hull ring.
+            ring = chain if side > 0 else chain[::-1]
+            for a, b in zip(ring, ring[1:]):
+                tri[size:size + 3] = a, b, i
+                if size:
+                    link(size + 2, size - 2)
+                hull_next[a], hull_prev[b], hull_he[a] = b, a, size
+                size += 3
+            hull_next[b], hull_prev[i], hull_he[b] = i, b, size - 2  # b is ring[-1]
+            hull_next[i], hull_prev[ring[0]], hull_he[i] = ring[0], i, 2
+            last = i
             continue
 
-        # Point i is lexicographically last, so strictly outside the hull:
-        # it sees a contiguous run of edges, neither empty nor the whole ring.
-        h = len(hull)
-        vis = []
-        px, py = xs[i], ys[i]
-        for j in range(h):
-            a = hull[j]
-            b = hull[(j + 1) % h]
-            # _orient(b, i, a), inlined with its float filter.
-            t1 = (xs[b] - xs[a]) * (py - ys[a])
-            t2 = (ys[b] - ys[a]) * (px - xs[a])
-            if abs(t1 - t2) > ORIENT_BOUND * (abs(t1) + abs(t2)) + TINY:
-                vis.append(t1 < t2)
-            else:
-                vis.append(_sign(_orient, ORIENT_BOUND, xs[b], ys[b], px, py, xs[a], ys[a]) < 0)
-        nvis = sum(vis)
-        # Rotate so the visible run starts at index 0.
-        start = next(j for j in range(h) if vis[j] and not vis[j - 1])
-        hull = hull[start:] + hull[:start]
-        stack = []
-        for j in range(nvis):
-            a, b = hull[j], hull[j + 1]
-            add_triangle(a, b, i)
-            stack.append((a, b))
-        hull = [hull[0], i] + hull[nvis:]
-        legalize(stack)
+        # i is lexicographically last, so strictly outside the hull, and it
+        # sees a contiguous run of hull edges.  The run touches the previous
+        # point, the hull's lexicographic maximum, since every direction into
+        # the hull from there points away from i.  Walk both ways from it.
+        first = last
+        while right_of(hull_prev[first], first, px, py):
+            first = hull_prev[first]
+        while right_of(last, hull_next[last], px, py):
+            last = hull_next[last]
+        t0 = size
+        v = first
+        while v != last:
+            w = hull_next[v]
+            tri[size:size + 3] = w, v, i
+            link(size, hull_he[v])
+            if size > t0:
+                link(size + 1, size - 1)
+            size += 3
+            v = w
+        hull_next[first], hull_prev[i], hull_he[first] = i, first, t0 + 1
+        hull_next[i], hull_prev[last], hull_he[i] = last, i, size - 1
+        last = i
 
-    if not opposite:
+        # Lawson flips (Guibas and Stolfi 1985).  Only edges opposite i can be
+        # illegal, and a flip leaves two new ones to check.
+        stack = list(range(t0, size, 3))
+        while stack:
+            a = stack.pop()
+            b = twin[a]
+            if b < 0:
+                continue
+            a0 = a - a % 3
+            p1 = tri[b - b % 3 + (b + 2) % 3]
+            if incircle_sign(tri[a], tri[a0 + (a + 1) % 3], tri[a0 + (a + 2) % 3], p1) > 0:
+                stack.append(flip(a))
+                stack.append(a)
+
+    if not size:
         raise ValueError("all points are collinear")
 
     # A cocircular quad has two Delaunay diagonals; keep the one whose lowest
     # vertex index is smallest.  Each flip lowers the sum over edges of their
-    # lowest index, so the pass terminates.
+    # lowest index, so the pass terminates.  Neither the mesh the flips left
+    # nor the scan order matters: the rule's only fixpoint is the fan from
+    # each cocircular polygon's lowest index, as a diagonal missing that
+    # index borders a fan triangle whose quad contains it.
     flipped = True
     while flipped:
         flipped = False
-        for key in sorted(opposite):
-            opp = opposite.get(key)
-            if opp is None or len(opp) != 2 or min(opp) >= key[0]:
+        for a in range(size):
+            b = twin[a]
+            if b < a:  # a hull edge, or its twin comes first
                 continue
-            c, d = opp
-            if incircle_sign(key[0], key[1], c, d) == 0:
-                flip(key, c, d)
+            u, v = tri[a], tri[b]
+            c = tri[a - a % 3 + (a + 2) % 3]
+            d = tri[b - b % 3 + (b + 2) % 3]
+            if min(c, d) < min(u, v) and incircle_sign(u, v, c, d) == 0:
+                flip(a)
                 flipped = True
 
-    tri_set = set()
-    for (u, v), opps in opposite.items():
-        for w in opps:
-            tri_set.add(tuple(sorted((u, v, w))))
-    triangles = sorted(tri_set)
+    triangles = sorted(tuple(sorted(tri[t:t + 3])) for t in range(0, size, 3))
 
-    areas = np.empty(len(triangles))
-    for t, (a, b, c) in enumerate(triangles):
-        pa, pb, pc = pts[a], pts[b], pts[c]
-        areas[t] = triangle_area(
-            edge_length(pa, pb), edge_length(pb, pc), edge_length(pc, pa)
+    # Heron's formula from edge lengths.  Where it rounds a sliver to 0, take
+    # half the orientation determinant, which is exactly non-zero on every
+    # mesh triangle; only an area below the smallest double stays 0.
+    area_list = []
+    for a, b, c in triangles:
+        area = triangle_area(
+            math.hypot(xs[a] - xs[b], ys[a] - ys[b]),
+            math.hypot(xs[b] - xs[c], ys[b] - ys[c]),
+            math.hypot(xs[c] - xs[a], ys[c] - ys[a]),
         )
+        if area == 0:
+            coords = (xs[a], ys[a], xs[b], ys[b], xs[c], ys[c])
+            area = float(abs(_exact(_orient, ORIENT_BOUND, *coords)) / 2)
+        area_list.append(area)
+    areas = np.array(area_list)
     ras = relative_areas(areas)
     return Triangulation(
         points=pts,

@@ -8,6 +8,7 @@ eigendecomposition.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -62,6 +63,17 @@ def all_collinear(points):
     q = exact_points(points)
     b = next((p for p in q[1:] if p != q[0]), None)
     return b is None or all(orient_raw(q[0], b, c) == 0 for c in q[1:])
+
+
+def exact_area(a, b, c):
+    """Exact area of triangle (a, b, c) as a Fraction."""
+    q = [(Fraction(float(p[0])), Fraction(float(p[1]))) for p in (a, b, c)]
+    return abs(orient_raw(*q)) / 2
+
+
+def max_area_underflows(points):
+    """Every triangle on the points has an exact area that rounds to 0.0."""
+    return all(float(exact_area(a, b, c)) == 0 for a, b, c in itertools.combinations(points, 3))
 
 
 def convex_hull_indices(points):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from dtpca import synthetic
 from dtpca.geometry import (
     average_relative_area,
     delaunay,
@@ -227,6 +229,25 @@ def test_delaunay_cocircular_tie_break_other_labelling():
     assert tri.triangles == [(0, 1, 2), (0, 1, 3)]
 
 
+# The 12 integer points on the radius-5 circle, all exactly cocircular.
+CIRCLE_5 = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3),
+            (-5, 0), (-4, -3), (-3, -4), (0, -5), (3, -4), (4, -3)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_delaunay_cocircular_polygon_is_fan_from_lowest_label(seed):
+    # The tie-break's only fixpoint is the fan from the lowest label, so the
+    # mesh cannot depend on the insertion order or on how legalize left it.
+    perm = np.random.default_rng(seed).permutation(12)  # perm[k] labels CIRCLE_5[k]
+    pts = np.empty((12, 2))
+    pts[perm] = CIRCLE_5
+    ring = perm.tolist()  # labels in angular order
+    start = ring.index(0)
+    ring = ring[start:] + ring[:start]
+    fan = sorted(tuple(sorted((0, a, b))) for a, b in zip(ring[1:], ring[2:]))
+    assert delaunay(pts).triangles == fan
+
+
 def test_delaunay_many_cocircular_points_valid():
     angles = 2 * np.pi * np.arange(8) / 8
     pts = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -325,12 +346,17 @@ def test_delaunay_exact_on_degenerate_inputs(family, data):
     try:
         tri = delaunay(pts)
     except ValueError as exc:
-        # Only a collinear set, or one whose Heron areas overflow or all
-        # vanish, may be rejected.
-        assert oracles.all_collinear(pts) or "area" in str(exc), exc
+        # Only a collinear set, a scaled one whose areas overflow, or one
+        # whose every area is below the smallest double may be rejected.
+        overflow = family is scaled_clouds and "area" in str(exc)
+        assert oracles.all_collinear(pts) or overflow or oracles.max_area_underflows(pts), exc
         return
     assert {i for t in tri.triangles for i in t} == set(range(len(pts)))
     assert oracles.exact_violations(pts, tri.triangles) == []
+    # Heron's formula rounds slivers to 0, but no mesh triangle is
+    # degenerate: an area is 0 only where the exact area rounds to 0.
+    for t, area in zip(tri.triangles, tri.areas):
+        assert area > 0 or float(oracles.exact_area(*pts[list(t)])) == 0
 
 
 def test_delaunay_random_suite_validity_counts_areas():
@@ -340,6 +366,7 @@ def test_delaunay_random_suite_validity_counts_areas():
         pts = rng.uniform(0, 1000, size=(n, 2))
         tri = delaunay(pts)
         assert empty_circumcircle_violations(pts, tri.triangles) == []
+        assert oracles.exact_violations(pts, tri.triangles) == []
         assert {i for t in tri.triangles for i in t} == set(range(n))
         hull = oracles.convex_hull_indices(pts)
         h = len(hull)
@@ -353,6 +380,31 @@ def test_delaunay_random_suite_validity_counts_areas():
             reference = oracles.triangle_shoelace(pts[i], pts[j], pts[k])
             if reference > 1e-6 * amax:  # slivers carry no length-based precision
                 assert area == pytest.approx(reference, rel=1e-9)
+
+
+@pytest.mark.parametrize("scheme", [68, 79, 194])
+def test_delaunay_synthetic_clouds_exactly_delaunay(scheme):
+    for si, vi in ((0, 0), (14, 9)):
+        pts = synthetic._landmark_cloud(si, vi, scheme, 0)
+        tri = delaunay(pts)
+        assert oracles.exact_violations(pts, tri.triangles) == []
+        assert {i for t in tri.triangles for i in t} == set(range(scheme))
+
+
+def test_delaunay_synthetic_clouds_byte_identical():
+    # Pins the meshes and areas of the 450 synthetic clouds: any change to
+    # the triangulation or to the area arithmetic changes this digest.
+    digest = hashlib.sha256()
+    for scheme in (68, 79, 194):
+        for si in range(15):
+            for vi in range(10):
+                tri = delaunay(synthetic._landmark_cloud(si, vi, scheme, 0))
+                digest.update(repr(tri.triangles).encode())
+                digest.update(tri.areas.tobytes())
+                digest.update(tri.average_relative_area.hex().encode())
+    assert digest.hexdigest() == (
+        "0ae3250b23d41a8d1243c887f9efb65edf443e6fbd7170ae3762803a8117e909"
+    )
 
 
 def test_delaunay_similarity_invariance_sample():
