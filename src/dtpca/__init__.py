@@ -32,6 +32,7 @@ from .evalharness import (
     accuracy,
     emit_report,
     run_experiment,
+    run_table,
     train_gallery,
 )
 from .geometry import (

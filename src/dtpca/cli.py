@@ -66,9 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt-divisor", type=float, default=recognizer.DEFAULT_DT_DIVISOR)
     p.set_defaults(func=cmd_recognize)
 
-    p = sub.add_parser("evaluate", help="run a split experiment and report accuracy")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--train-variants", type=int, required=True)
+    p = sub.add_parser("evaluate", help="run split experiments and report accuracy")
+    p.add_argument("--manifest", action="append", required=True,
+                   help="manifest CSV; repeat for one column per landmark scheme")
+    p.add_argument("--train-variants", required=True,
+                   help="comma-separated training variants per subject, one row each")
     p.add_argument("--modes", required=True,
                    help="comma-separated: pca-only,dt-pca")
     p.add_argument("--dt-divisor", type=float, default=recognizer.DEFAULT_DT_DIVISOR)
@@ -143,31 +145,34 @@ def cmd_recognize(args) -> int:
     return EXIT_OK
 
 
+def _comma_list(flag, text, parse, what):
+    items = [t.strip() for t in text.split(",") if t.strip()]
+    try:
+        values = [parse(t) for t in items]
+    except (KeyError, ValueError):
+        values = []
+    if not values or len(set(values)) != len(values):
+        raise UsageError(f"{flag} must list distinct {what}, got {text!r}")
+    return values
+
+
 def cmd_evaluate(args) -> int:
-    mode_flags = [m.strip() for m in args.modes.split(",") if m.strip()]
-    unknown = [m for m in mode_flags if m not in _MODE_FLAGS]
-    if unknown or not mode_flags:
-        raise UsageError(
-            f"--modes must list pca-only and/or dt-pca, got {args.modes!r}"
-        )
-    _check_dt_divisor(args.dt_divisor)
-    manifest = dataset_io.load_manifest(args.manifest)
-    per_subject = {
-        len(v) for v in manifest.entries_by_subject().values()
-    }
-    variants = per_subject.pop() if len(per_subject) == 1 else 0
-    if not 1 <= args.train_variants < variants:
-        raise UsageError(
-            f"--train-variants {args.train_variants} leaves no test images "
-            f"(subjects have {variants} variants)"
-        )
-    config = evalharness.ExperimentConfig(
-        manifest_path=args.manifest,
-        train_variants=args.train_variants,
-        modes=tuple(_MODE_FLAGS[m] for m in mode_flags),
-        dt_divisor=args.dt_divisor,
+    modes = _comma_list(
+        "--modes", args.modes, _MODE_FLAGS.__getitem__, "modes (pca-only, dt-pca)"
     )
-    table = evalharness.run_experiment(config)
+    _check_dt_divisor(args.dt_divisor)
+    splits = _comma_list("--train-variants", args.train_variants, int, "integers")
+    for path in args.manifest:
+        manifest = dataset_io.load_manifest(path)
+        per_subject = {len(v) for v in manifest.entries_by_subject().values()}
+        variants = per_subject.pop() if len(per_subject) == 1 else 0
+        for tv in splits:
+            if not 1 <= tv < variants:
+                raise UsageError(
+                    f"--train-variants {tv} leaves no test images "
+                    f"(subjects in {path} have {variants} variants)"
+                )
+    table = evalharness.run_table(args.manifest, splits, modes, args.dt_divisor)
     evalharness.emit_report(table, args.report, args.out)
     return EXIT_OK
 

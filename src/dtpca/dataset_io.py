@@ -69,13 +69,6 @@ class ManifestEntry:
 class DatasetManifest:
     entries: tuple[ManifestEntry, ...]
 
-    def subjects(self) -> list[str]:
-        """Subject ids in order of first appearance."""
-        seen: dict[str, None] = {}
-        for e in self.entries:
-            seen.setdefault(e.subject_id, None)
-        return list(seen)
-
     def entries_by_subject(self) -> dict[str, list[ManifestEntry]]:
         groups: dict[str, list[ManifestEntry]] = {}
         for e in self.entries:

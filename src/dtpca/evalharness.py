@@ -1,10 +1,14 @@
 """Experiment harness: deterministic splits, accuracy tables, reports.
 
-Runs a recognition experiment from a manifest: train on the first k
-variants of each subject, classify every held-out image in the requested
-modes, and tabulate percent accuracy per (split, mode, landmark scheme).
-The text report mirrors the usual layout: one row per split, one column
-for the plain eigenface baseline and one per landmark scheme.
+`run_table` builds the paper's table from one or more manifests, one per
+landmark scheme: for each split (train on the first k variants of each
+subject, test on the rest) it scores every requested mode on the first
+manifest and the fused mode on each further one.  Within a call each
+image file is read once, and each split fits one eigenmodel per distinct
+list of training images, so manifests that share images share the fit.
+`run_experiment` is that loop over one manifest and one split.  The text
+report has one row per split, one column for the plain eigenface baseline
+and one per landmark scheme.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import io
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import dataset_io, eigenface, recognizer
@@ -34,15 +38,23 @@ class ExperimentConfig:
     landmark_scheme_label: str = ""
 
     def __post_init__(self):
-        if self.train_variants < 1:
-            raise ValueError("train_variants must be >= 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not 0 < self.dt_divisor < math.inf:
-            raise ValueError("dt_divisor must be positive and finite")
-        bad = [m for m in self.modes if m not in recognizer.MODES]
-        if bad or not self.modes:
-            raise ValueError(f"modes must be a non-empty subset of {recognizer.MODES}")
+        _check_inputs((self.train_variants,), self.k, self.modes, self.dt_divisor)
+
+
+def _check_inputs(train_variants, k, modes, dt_divisor) -> None:
+    if not train_variants or min(train_variants) < 1:
+        raise ValueError("train_variants must be >= 1")
+    if len(set(train_variants)) != len(train_variants):
+        raise ValueError(f"duplicate train_variants: {list(train_variants)}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not 0 < dt_divisor < math.inf:
+        raise ValueError("dt_divisor must be positive and finite")
+    bad = [m for m in modes if m not in recognizer.MODES]
+    if bad or not modes:
+        raise ValueError(f"modes must be a non-empty subset of {recognizer.MODES}")
+    if len(set(modes)) != len(modes):
+        raise ValueError(f"duplicate modes: {list(modes)}")
 
 
 @dataclass(frozen=True)
@@ -90,6 +102,21 @@ def load_image_checked(path, expected_dims=None):
     return img
 
 
+class ImageReader:
+    """Reads each image file once and checks that all share one size."""
+
+    def __init__(self):
+        self._images = {}
+        self._dims = None
+
+    def __call__(self, path):
+        img = self._images.get(path)
+        if img is None:
+            img = self._images[path] = load_image_checked(path, self._dims)
+            self._dims = (img.width, img.height)
+        return img
+
+
 def load_landmarks_checked(path):
     try:
         return dataset_io.load_landmarks(path)
@@ -97,19 +124,18 @@ def load_landmarks_checked(path):
         raise DatasetFormatError(f"{path}: landmark file not found") from None
 
 
-def train_gallery(entries, k: int, with_landmarks: bool):
+def train_gallery(entries, k: int, with_landmarks: bool, read=None, model=None):
     """Load the entries' images, fit the eigenmodel, build the gallery.
 
     Returns (gallery, model).  All images are read before the fit and the
-    landmark files after it, only when with_landmarks is set.
+    landmark files after it, only when with_landmarks is set.  `read`
+    (default: a fresh ImageReader) loads the images; a given `model` is
+    used instead of a fit.
     """
-    images = []
-    dims = None
-    for e in entries:
-        img = load_image_checked(e.image_path, dims)
-        dims = (img.width, img.height)
-        images.append(img)
-    model = eigenface.fit_eigenmodel(images, k)
+    read = read or ImageReader()
+    images = [read(e.image_path) for e in entries]
+    if model is None:
+        model = eigenface.fit_eigenmodel(images, k)
     records = [
         recognizer.TrainingRecord(
             image=img,
@@ -123,55 +149,98 @@ def train_gallery(entries, k: int, with_landmarks: bool):
     return recognizer.build_gallery(model, records), model
 
 
-def run_experiment(config: ExperimentConfig) -> AccuracyTable:
-    """Train on the deterministic split and classify every test image.
+def run_table(
+    manifest_paths,
+    train_variants,
+    modes=recognizer.MODES,
+    dt_divisor: float = recognizer.DEFAULT_DT_DIVISOR,
+    k: int = DEFAULT_K,
+) -> AccuracyTable:
+    """Train on each deterministic split and classify every test image.
 
+    For each split in `train_variants`, the first manifest gives one row
+    per mode in `modes` order, and each further manifest a dt_pca row.
     A prediction is correct when the matched entry's subject id equals the
     test image's subject id.  In pca_only mode no landmark file is read.
+    The dt_pca rows are labelled with their landmark count, so two
+    manifests of one scheme are a data error.
     """
-    manifest = dataset_io.load_manifest(config.manifest_path)
-    train_m, test_m = dataset_io.split_dataset(manifest, config.train_variants)
-    need_dt = "dt_pca" in config.modes
-    gallery, model = train_gallery(train_m.entries, config.k, with_landmarks=need_dt)
-    scheme_label = config.landmark_scheme_label or str(gallery.scheme)
-    dims = (model.width, model.height)
-
-    test_images = [load_image_checked(e.image_path, dims) for e in test_m.entries]
-    test_landmarks = [
-        load_landmarks_checked(e.landmark_path) if need_dt else None
-        for e in test_m.entries
-    ]
-
+    train_variants, modes = tuple(train_variants), tuple(modes)
+    _check_inputs(train_variants, k, modes, dt_divisor)
+    manifests = [dataset_io.load_manifest(p) for p in manifest_paths]
+    read = ImageReader()
+    scheme_owner = {}
     rows = []
-    for mode in config.modes:
-        correct = 0
-        for e, img, lmk in zip(test_m.entries, test_images, test_landmarks):
-            try:
-                report = recognizer.recognize(
-                    gallery,
-                    model,
-                    img,
-                    lmk if mode == "dt_pca" else None,
-                    mode=mode,
-                    dt_divisor=config.dt_divisor,
-                )
-            except ValueError as exc:
-                raise DatasetFormatError(f"{e.landmark_path}: {exc}") from None
-            if report.best_subject == e.subject_id:
-                correct += 1
-        total = len(test_m.entries)
-        rows.append(
-            AccuracyRow(
-                train_count=len(train_m.entries),
-                test_count=total,
-                mode=mode,
-                scheme=scheme_label if mode == "dt_pca" else "",
-                correct=correct,
-                total=total,
-                percent=accuracy(correct, total),
+    for tv in train_variants:
+        models = {}
+        for i, manifest in enumerate(manifests):
+            cell_modes = modes if i == 0 else [m for m in modes if m == "dt_pca"]
+            if not cell_modes:
+                continue
+            train_m, test_m = dataset_io.split_dataset(manifest, tv)
+            need_dt = "dt_pca" in cell_modes
+            key = tuple(e.image_path for e in train_m.entries)
+            gallery, model = train_gallery(
+                train_m.entries, k, need_dt, read, models.get(key)
             )
-        )
+            models[key] = model
+            if need_dt:
+                owner = scheme_owner.setdefault(gallery.scheme, i)
+                if owner != i:
+                    raise DatasetFormatError(
+                        f"{manifest_paths[owner]} and {manifest_paths[i]} both "
+                        f"have {gallery.scheme}-point landmarks"
+                    )
+            test_images = [read(e.image_path) for e in test_m.entries]
+            test_landmarks = [
+                load_landmarks_checked(e.landmark_path) if need_dt else None
+                for e in test_m.entries
+            ]
+            for mode in cell_modes:
+                correct = 0
+                for e, img, lmk in zip(test_m.entries, test_images, test_landmarks):
+                    try:
+                        report = recognizer.recognize(
+                            gallery,
+                            model,
+                            img,
+                            lmk if mode == "dt_pca" else None,
+                            mode=mode,
+                            dt_divisor=dt_divisor,
+                        )
+                    except ValueError as exc:
+                        raise DatasetFormatError(f"{e.landmark_path}: {exc}") from None
+                    if report.best_subject == e.subject_id:
+                        correct += 1
+                total = len(test_m.entries)
+                rows.append(
+                    AccuracyRow(
+                        train_count=len(train_m.entries),
+                        test_count=total,
+                        mode=mode,
+                        scheme=str(gallery.scheme) if mode == "dt_pca" else "",
+                        correct=correct,
+                        total=total,
+                        percent=accuracy(correct, total),
+                    )
+                )
     return AccuracyTable(rows=tuple(rows))
+
+
+def run_experiment(config: ExperimentConfig) -> AccuracyTable:
+    """`run_table` over one manifest and one split; a non-empty
+    landmark_scheme_label replaces the landmark count on the dt_pca row.
+    """
+    table = run_table(
+        [config.manifest_path], [config.train_variants], config.modes,
+        config.dt_divisor, config.k,
+    )
+    if not config.landmark_scheme_label:
+        return table
+    return AccuracyTable(rows=tuple(
+        replace(r, scheme=config.landmark_scheme_label) if r.mode == "dt_pca" else r
+        for r in table.rows
+    ))
 
 
 def render_text_report(table: AccuracyTable) -> str:

@@ -15,6 +15,17 @@ def synth_dataset(tmp_path_factory):
     return {"root": root, "manifest": manifests[68]}
 
 
+@pytest.fixture(scope="session")
+def scheme_manifests(tmp_path_factory):
+    """4 subjects x 4 variants sharing one image set, with 8/9/12-point
+    landmark schemes: the manifest paths in scheme order."""
+    root = tmp_path_factory.mktemp("schemes")
+    manifests = synthetic.make_dataset(
+        root, subjects=4, variants=4, width=10, height=8, schemes=(8, 9, 12), seed=5
+    )
+    return [str(manifests[s]) for s in (8, 9, 12)]
+
+
 @pytest.fixture
 def write_pgm(tmp_path):
     """Write a P5 file from raw byte values; returns the path."""

@@ -374,7 +374,11 @@ def test_c09b_three_split_table_layout(table_dataset):
 
 def test_c10_determinism(table_dataset, tmp_path):
     manifest = str(table_dataset["manifests"][68])
+    table_manifests = []
+    for scheme in (68, 79, 194):
+        table_manifests += ["--manifest", str(table_dataset["manifests"][scheme])]
     reports = []
+    tables = []
     galleries = []
     for run in range(2):
         report_path = tmp_path / f"report{run}.csv"
@@ -390,6 +394,13 @@ def test_c10_determinism(table_dataset, tmp_path):
         )
         assert rc == 0
         reports.append(report_path.read_bytes())
+        table_path = tmp_path / f"table{run}.csv"
+        rc = cli.main(
+            ["evaluate", *table_manifests, "--train-variants", "7,3",
+             "--modes", "pca-only,dt-pca", "--report", "csv", "--out", str(table_path)]
+        )
+        assert rc == 0
+        tables.append(table_path.read_bytes())
         gallery_path = tmp_path / f"gallery{run}.json"
         rc = cli.main(
             ["train", "--manifest", manifest, "--out", str(gallery_path)]
@@ -398,7 +409,9 @@ def test_c10_determinism(table_dataset, tmp_path):
         galleries.append(gallery_path.read_bytes())
     check(
         "C10 determinism",
-        reports[0] == reports[1] and galleries[0] == galleries[1],
+        reports[0] == reports[1] and tables[0] == tables[1]
+        and galleries[0] == galleries[1],
         f"two evaluate runs byte-identical ({len(reports[0])} B), "
+        f"two three-manifest evaluate runs byte-identical ({len(tables[0])} B), "
         f"two gallery files byte-identical ({len(galleries[0])} B)",
     )

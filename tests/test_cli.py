@@ -4,7 +4,9 @@ import pytest
 
 import oracles
 from dtpca import cli
-from dtpca.dataset_io import load_landmarks
+from dtpca.dataset_io import load_landmarks, load_manifest, save_manifest
+from dtpca.evalharness import render_csv_report, render_text_report
+from test_evalharness import per_cell_table
 
 
 def run_cli(capsys, *argv):
@@ -342,6 +344,72 @@ def test_evaluate_rejects_bad_divisor(capsys, synth_dataset, divisor):
     assert rc == 1
     assert out == ""
     assert err.startswith("error: usage:")
+
+
+@pytest.mark.parametrize(
+    "modes,splits",
+    [
+        ("pca-only,pca-only", "3"),
+        ("dt-pca,pca-only,dt-pca", "3"),
+        ("pca-only", "2,2"),
+        ("pca-only", "3,2,3"),
+        ("pca-only", "2,x"),
+        ("pca-only", "2.5"),
+        ("pca-only", ","),
+        ("pca-only", "2,0"),
+        ("pca-only", "3,4"),
+    ],
+)
+def test_evaluate_rejects_repeated_or_bad_lists(
+    capsys, tmp_path, synth_dataset, modes, splits
+):
+    out_path = tmp_path / "report.csv"
+    rc, out, err = run_cli(
+        capsys,
+        "evaluate",
+        "--manifest", str(synth_dataset["manifest"]),
+        "--train-variants", splits,
+        "--modes", modes,
+        "--report", "csv",
+        "--out", str(out_path),
+    )
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: usage:")
+    assert not out_path.exists()
+
+
+def test_evaluate_rejects_repeated_scheme(capsys, tmp_path, scheme_manifests):
+    again = tmp_path / "again_9.csv"
+    save_manifest(load_manifest(scheme_manifests[1]), again)
+    rc, out, err = run_cli(
+        capsys,
+        "evaluate",
+        "--manifest", scheme_manifests[0],
+        "--manifest", scheme_manifests[1],
+        "--manifest", str(again),
+        "--train-variants", "2",
+        "--modes", "pca-only,dt-pca",
+        "--report", "text",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: data:")
+    assert scheme_manifests[1] in err and str(again) in err
+
+
+@pytest.mark.parametrize("report", ["text", "csv"])
+def test_evaluate_several_manifests_is_the_per_cell_table(
+    capsys, scheme_manifests, report
+):
+    argv = ["evaluate"]
+    for manifest in scheme_manifests:
+        argv += ["--manifest", manifest]
+    argv += ["--train-variants", "3,2,1", "--modes", "pca-only,dt-pca", "--report", report]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0, err
+    render = render_text_report if report == "text" else render_csv_report
+    assert out == render(per_cell_table(scheme_manifests, (3, 2, 1)))
 
 
 # --- usage handling ------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import collections
 import csv
 import io
 import math
+import shutil
 
 import pytest
 
+from dtpca import dataset_io, eigenface
 from dtpca.dataset_io import DatasetFormatError, load_manifest, save_manifest
 from dtpca.evalharness import (
     AccuracyRow,
@@ -14,6 +17,7 @@ from dtpca.evalharness import (
     render_csv_report,
     render_text_report,
     run_experiment,
+    run_table,
 )
 
 
@@ -60,6 +64,8 @@ def test_config_validation():
         ExperimentConfig(manifest_path="m", train_variants=1, modes=("nearest",))
     with pytest.raises(ValueError):
         ExperimentConfig(manifest_path="m", train_variants=1, modes=())
+    with pytest.raises(ValueError):
+        ExperimentConfig(manifest_path="m", train_variants=1, modes=("dt_pca", "dt_pca"))
 
 
 # --- run_experiment ----------------------------------------------------------------
@@ -160,6 +166,93 @@ def test_run_experiment_deterministic(synth_dataset):
     assert t1 == t2
     assert render_csv_report(t1) == render_csv_report(t2)
     assert render_text_report(t1) == render_text_report(t2)
+
+
+# --- run_table -------------------------------------------------------------------
+
+def per_cell_table(manifests, splits):
+    """The table as one run_experiment per cell, merged in row order."""
+    tables = []
+    for tv in splits:
+        for i, manifest in enumerate(manifests):
+            modes = ("pca_only", "dt_pca") if i == 0 else ("dt_pca",)
+            tables.append(
+                run_experiment(
+                    ExperimentConfig(manifest_path=manifest, train_variants=tv, modes=modes)
+                )
+            )
+    return tables[0].merged(*tables[1:])
+
+
+def copy_images(manifest, root):
+    """A manifest like `manifest` whose images are copies under `root`."""
+    root.mkdir()
+    entries = []
+    for e in load_manifest(manifest).entries:
+        shutil.copy(e.image_path, root / e.image_path.name)
+        entries.append(
+            dataset_io.ManifestEntry(
+                image_path=root / e.image_path.name,
+                subject_id=e.subject_id,
+                variant=e.variant,
+                landmark_path=e.landmark_path,
+            )
+        )
+    path = root / "manifest.csv"
+    save_manifest(dataset_io.DatasetManifest(entries=tuple(entries)), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("copied", [False, True], ids=["shared", "copied"])
+def test_run_table_fits_once_per_split_and_reads_each_image_once(
+    scheme_manifests, tmp_path, monkeypatch, copied
+):
+    manifests = list(scheme_manifests)
+    if copied:
+        manifests[1] = copy_images(manifests[1], tmp_path / "copies")
+    expected = per_cell_table(manifests, (3, 2, 1))
+
+    fits, reads = [], collections.Counter()
+    fit, load = eigenface.fit_eigenmodel, dataset_io.load_image
+
+    def counted_fit(images, k):
+        fits.append(k)
+        return fit(images, k)
+
+    def counted_load(path):
+        reads[str(path)] += 1
+        return load(path)
+
+    monkeypatch.setattr(eigenface, "fit_eigenmodel", counted_fit)
+    monkeypatch.setattr(dataset_io, "load_image", counted_load)
+    table = run_table(manifests, (3, 2, 1))
+
+    # One fit per split, plus one per split for the copied images.
+    assert len(fits) == (6 if copied else 3)
+    files = {str(e.image_path) for m in manifests for e in load_manifest(m).entries}
+    assert len(files) == (32 if copied else 16)
+    assert reads == collections.Counter(dict.fromkeys(files, 1))
+    assert table == expected
+    assert render_text_report(table) == render_text_report(expected)
+    assert render_csv_report(table) == render_csv_report(expected)
+
+
+def test_run_table_row_order(scheme_manifests):
+    table = run_table(scheme_manifests, (2, 1), modes=("dt_pca", "pca_only"))
+    assert [(r.train_count, r.mode, r.scheme) for r in table.rows] == [
+        (8, "dt_pca", "8"), (8, "pca_only", ""), (8, "dt_pca", "9"), (8, "dt_pca", "12"),
+        (4, "dt_pca", "8"), (4, "pca_only", ""), (4, "dt_pca", "9"), (4, "dt_pca", "12"),
+    ]
+    # pca_only is scored once per split, on the first manifest.
+    table = run_table(scheme_manifests, (2, 1), modes=("pca_only",))
+    assert [(r.train_count, r.mode) for r in table.rows] == [(8, "pca_only"), (4, "pca_only")]
+
+
+def test_run_table_rejects_duplicate_inputs(scheme_manifests):
+    with pytest.raises(ValueError, match="duplicate train_variants"):
+        run_table(scheme_manifests, (2, 2))
+    with pytest.raises(ValueError, match="duplicate modes"):
+        run_table(scheme_manifests, (2,), modes=("dt_pca", "dt_pca"))
 
 
 # --- reports -------------------------------------------------------------------

@@ -1,0 +1,49 @@
+"""The README's Quick start commands run as written and exit 0.
+
+They run in a temporary working directory, so `data/synth` and
+`gallery.json` land there; the dataset is cut to 3 subjects at 8x6.
+"""
+
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+from dtpca import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+TINY = ["--subjects", "3", "--width", "8", "--height", "6"]
+
+
+def quick_start_commands():
+    section = (ROOT / "README.md").read_text().split("## Quick start", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    commands = []
+    for block in section.split("```")[1::2]:
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.strip():
+                commands.append(shlex.split(line))
+    return commands
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    commands = quick_start_commands()
+    assert [argv[:2] for argv in commands] == [
+        ["python", "scripts/make_synthetic_dataset.py"],
+        ["dtpca", "train"],
+        ["dtpca", "recognize"],
+        ["dtpca", "evaluate"],
+        ["dtpca", "evaluate"],
+    ]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        if argv[0] == "python":
+            proc = subprocess.run(
+                [sys.executable, str(ROOT / argv[1]), *argv[2:], *TINY],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        else:
+            rc = cli.main(argv[1:])
+            assert rc == 0, (argv, capsys.readouterr().err)
+    assert (tmp_path / "gallery.json").is_file()
