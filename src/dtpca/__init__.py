@@ -20,8 +20,6 @@ from .eigenface import (
     ZeroVarianceError,
     eigen_distance,
     fit_eigenmodel,
-    mean_image,
-    center_images,
     project,
     reconstruct,
 )
@@ -39,7 +37,6 @@ from .geometry import (
     Triangulation,
     average_relative_area,
     delaunay,
-    edge_length,
     empty_circumcircle_violations,
     in_circumcircle,
     relative_areas,

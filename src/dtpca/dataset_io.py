@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -151,8 +152,9 @@ def save_image(image: ImageVector, path) -> None:
 def load_landmarks(path) -> LandmarkSet:
     """Load a landmark CSV: one "x,y" decimal pair per line, no header.
 
-    The scheme label is the point count.  Rejects files with fewer than 3
-    points, duplicate points, or all points on one line.
+    The scheme label is the point count.  Rejects non-finite or subnormal
+    coordinates, files with fewer than 3 points, duplicate points, or all
+    points on one line.
     """
     path = Path(path)
     points = []
@@ -173,6 +175,10 @@ def load_landmarks(path) -> LandmarkSet:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise DatasetFormatError(
                     f"{path}:{lineno}: non-finite coordinate {line!r}"
+                )
+            if any(0 < abs(v) < sys.float_info.min for v in (x, y)):
+                raise DatasetFormatError(
+                    f"{path}:{lineno}: subnormal coordinate {line!r}"
                 )
             points.append((x, y))
     if len(points) < 3:

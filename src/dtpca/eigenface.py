@@ -58,30 +58,13 @@ def _as_rows(images) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _dims(images) -> tuple[int, int]:
-    first = images[0]
-    w = getattr(first, "width", None)
-    h = getattr(first, "height", None)
-    if w is None or h is None:
-        w, h = len(np.asarray(getattr(first, "values", first))), 1
-    for img in images:
-        if getattr(img, "width", w) != w or getattr(img, "height", h) != h:
-            raise ValueError("images have mismatched dimensions")
+def _dims(images, d: int) -> tuple[int, int]:
+    """The width and height all images share; a plain d-vector is d x 1."""
+    dims = {(getattr(img, "width", d), getattr(img, "height", 1)) for img in images}
+    if len(dims) != 1:
+        raise ValueError("images have mismatched dimensions")
+    w, h = dims.pop()
     return int(w), int(h)
-
-
-def mean_image(images) -> np.ndarray:
-    """Elementwise mean of a non-empty set of equal-size image vectors."""
-    return _as_rows(images).mean(axis=0)
-
-
-def center_images(images, mean) -> np.ndarray:
-    """Matrix of centered rows, row i = image_i - mean."""
-    rows = _as_rows(images)
-    mean = np.asarray(mean, dtype=float)
-    if rows.shape[1] != len(mean):
-        raise ValueError("mean dimension does not match images")
-    return rows - mean
 
 
 def fit_eigenmodel(images, k: int) -> EigenModel:
@@ -94,21 +77,23 @@ def fit_eigenmodel(images, k: int) -> EigenModel:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(images) < 2:
         raise ValueError("need at least 2 training images")
-    width, height = _dims(images)
+    # The fit's one n x d matrix: _as_rows stacks a fresh copy, which is
+    # measured and centered in place; nothing else is n x d.
     rows = _as_rows(images)
+    n, d = rows.shape
+    width, height = _dims(images, d)
+    # Identical images leave only mean-rounding residue after centering;
+    # compare the centered energy against the raw pixel energy.
+    raw_energy = sum(float(r @ r) for r in rows)
     mean = rows.mean(axis=0)
-    centered = rows - mean
-    n = len(centered)
+    rows -= mean
 
-    gram = centered @ centered.T
+    gram = rows @ rows.T
     lam, vecs = np.linalg.eigh(gram)
     order = np.argsort(lam)[::-1]
     lam = lam[order]
     vecs = vecs[:, order]
 
-    # Identical images leave only mean-rounding residue after centering;
-    # compare the centered energy against the raw pixel energy.
-    raw_energy = float(np.sum(rows * rows))
     eps = np.finfo(float).eps
     if lam[0] <= max(raw_energy, 1.0) * (64 * eps) ** 2:
         raise ZeroVarianceError("training images are all identical")
@@ -118,7 +103,8 @@ def fit_eigenmodel(images, k: int) -> EigenModel:
     sigma = np.sqrt(lam[:kept])
     # Lift Gram eigenvectors to pixel space; rows come out C-contiguous so
     # projections are bit-identical before and after JSON round trips.
-    eigvecs = (vecs[:, :kept].T @ centered) / sigma[:, None]
+    eigvecs = vecs[:, :kept].T @ rows
+    eigvecs /= sigma[:, None]
     # Renormalize and canonicalize signs for byte-stable serialization.
     eigvecs /= np.linalg.norm(eigvecs, axis=1, keepdims=True)
     for row in eigvecs:

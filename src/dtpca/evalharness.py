@@ -28,6 +28,10 @@ DEFAULT_K = 25
 REPORT_FORMATS = ("text", "csv")
 
 
+class SplitRangeError(ValueError):
+    """A split trains on no image or leaves a subject no test image."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     manifest_path: str
@@ -43,7 +47,7 @@ class ExperimentConfig:
 
 def _check_inputs(train_variants, k, modes, dt_divisor) -> None:
     if not train_variants or min(train_variants) < 1:
-        raise ValueError("train_variants must be >= 1")
+        raise SplitRangeError("train_variants must be >= 1")
     if len(set(train_variants)) != len(train_variants):
         raise ValueError(f"duplicate train_variants: {list(train_variants)}")
     if k < 1:
@@ -89,19 +93,6 @@ def accuracy(correct: int, total: int) -> float:
     return (tenths.numerator // tenths.denominator) / 10
 
 
-def load_image_checked(path, expected_dims=None):
-    try:
-        img = dataset_io.load_image(path)
-    except FileNotFoundError:
-        raise DatasetFormatError(f"{path}: image file not found") from None
-    if expected_dims is not None and (img.width, img.height) != expected_dims:
-        raise DatasetFormatError(
-            f"{path}: image is {img.width}x{img.height}, expected "
-            f"{expected_dims[0]}x{expected_dims[1]}"
-        )
-    return img
-
-
 class ImageReader:
     """Reads each image file once and checks that all share one size."""
 
@@ -112,7 +103,16 @@ class ImageReader:
     def __call__(self, path):
         img = self._images.get(path)
         if img is None:
-            img = self._images[path] = load_image_checked(path, self._dims)
+            try:
+                img = dataset_io.load_image(path)
+            except FileNotFoundError:
+                raise DatasetFormatError(f"{path}: image file not found") from None
+            if self._dims not in (None, (img.width, img.height)):
+                raise DatasetFormatError(
+                    f"{path}: image is {img.width}x{img.height}, expected "
+                    f"{self._dims[0]}x{self._dims[1]}"
+                )
+            self._images[path] = img
             self._dims = (img.width, img.height)
         return img
 
@@ -163,21 +163,30 @@ def run_table(
     A prediction is correct when the matched entry's subject id equals the
     test image's subject id.  In pca_only mode no landmark file is read.
     The dt_pca rows are labelled with their landmark count, so two
-    manifests of one scheme are a data error.
+    manifests of one scheme are a data error.  Every split of every
+    manifest is made before any image is read; one that trains on no image
+    or tests on none raises SplitRangeError.
     """
     train_variants, modes = tuple(train_variants), tuple(modes)
     _check_inputs(train_variants, k, modes, dt_divisor)
-    manifests = [dataset_io.load_manifest(p) for p in manifest_paths]
+    splits = {}  # (train_variants, manifest index) -> (train, test)
+    for i, path in enumerate(manifest_paths):
+        manifest = dataset_io.load_manifest(path)
+        for tv in train_variants:
+            try:
+                splits[tv, i] = dataset_io.split_dataset(manifest, tv)
+            except ValueError as exc:
+                raise SplitRangeError(f"{path}: {exc}") from None
     read = ImageReader()
     scheme_owner = {}
     rows = []
     for tv in train_variants:
         models = {}
-        for i, manifest in enumerate(manifests):
+        for i in range(len(manifest_paths)):
             cell_modes = modes if i == 0 else [m for m in modes if m == "dt_pca"]
             if not cell_modes:
                 continue
-            train_m, test_m = dataset_io.split_dataset(manifest, tv)
+            train_m, test_m = splits[tv, i]
             need_dt = "dt_pca" in cell_modes
             key = tuple(e.image_path for e in train_m.entries)
             gallery, model = train_gallery(

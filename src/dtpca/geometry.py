@@ -69,11 +69,6 @@ class Triangulation:
         }
 
 
-def edge_length(p, q) -> float:
-    """Euclidean distance between two 2D points."""
-    return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
 def triangle_area(l1: float, l2: float, l3: float) -> float:
     """Triangle area from its three edge lengths (Heron's formula).
 
@@ -228,6 +223,21 @@ def empty_circumcircle_violations(points, triangles):
         side = _sign(_orient, ORIENT_BOUND, *tri)
         inside[t, p] = side * _sign(_incircle, INCIRCLE_BOUND, *tri, *pts[p].tolist()) > 0
     return [(int(t), int(p)) for t, p in np.argwhere(inside)]
+
+
+def _tie_undecided(tri, twin, pts) -> bool:
+    """Whether the float filter leaves undecided some in-circle sign that
+    the cocircular tie-break pass of `delaunay` would test."""
+    tri, twin = np.array(tri, dtype=np.intp), np.array(twin, dtype=np.intp)
+    opposite = tri.reshape(-1, 3)[:, [2, 0, 1]].ravel()  # corner facing each halfedge
+    a = np.flatnonzero(twin > np.arange(len(twin)))
+    b = twin[a]
+    quads = np.array([tri[a], tri[b], opposite[a], opposite[b]])
+    quads = quads[:, np.minimum(quads[2], quads[3]) < np.minimum(quads[0], quads[1])]
+    coords = pts[quads].transpose(0, 2, 1).reshape(8, -1)  # ux, uy, vx, ..., dy
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow goes exact
+        det, perm = _incircle(*coords)
+        return not np.all(np.abs(det) > INCIRCLE_BOUND * perm + TINY)
 
 
 def delaunay(landmarks) -> Triangulation:
@@ -388,8 +398,10 @@ def delaunay(landmarks) -> Triangulation:
     # lowest index, so the pass terminates.  Neither the mesh the flips left
     # nor the scan order matters: the rule's only fixpoint is the fan from
     # each cocircular polygon's lowest index, as a diagonal missing that
-    # index borders a fan triangle whose quad contains it.
-    flipped = True
+    # index borders a fan triangle whose quad contains it.  Only an exact
+    # zero flips, so the pass runs only when the float filter leaves some
+    # candidate's in-circle sign undecided.
+    flipped = _tie_undecided(tri[:size], twin[:size], pts)
     while flipped:
         flipped = False
         for a in range(size):

@@ -8,6 +8,7 @@ eigendecomposition.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -63,6 +64,11 @@ def all_collinear(points):
     q = exact_points(points)
     b = next((p for p in q[1:] if p != q[0]), None)
     return b is None or all(orient_raw(q[0], b, c) == 0 for c in q[1:])
+
+
+def edge_length(p, q) -> float:
+    """Euclidean distance between two 2D points."""
+    return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
 def exact_area(a, b, c):
@@ -151,6 +157,30 @@ def covariance_eigenspace(images, k=None):
     rank = int(np.sum(lam > 1e-10 * max(lam[0], 1e-300)))
     kept = rank if k is None else min(k, rank)
     return mean, lam[:kept], vecs[:, :kept].T
+
+
+def _as_rows(images):
+    rows = [np.asarray(getattr(img, "values", img), dtype=float) for img in images]
+    if not rows:
+        raise ValueError("empty image set")
+    d = len(rows[0])
+    if any(len(r) != d for r in rows):
+        raise ValueError("images have mismatched dimensions")
+    return np.vstack(rows)
+
+
+def mean_image(images) -> np.ndarray:
+    """Elementwise mean of a non-empty set of equal-size image vectors."""
+    return _as_rows(images).mean(axis=0)
+
+
+def center_images(images, mean) -> np.ndarray:
+    """Matrix of centered rows, row i = image_i - mean."""
+    rows = _as_rows(images)
+    mean = np.asarray(mean, dtype=float)
+    if rows.shape[1] != len(mean):
+        raise ValueError("mean dimension does not match images")
+    return rows - mean
 
 
 def project_oracle(mean, eigvec_rows, image):

@@ -3,8 +3,13 @@ import json
 import pytest
 
 import oracles
-from dtpca import cli
-from dtpca.dataset_io import load_landmarks, load_manifest, save_manifest
+from dtpca import cli, dataset_io
+from dtpca.dataset_io import (
+    DatasetManifest,
+    load_landmarks,
+    load_manifest,
+    save_manifest,
+)
 from dtpca.evalharness import render_csv_report, render_text_report
 from test_evalharness import per_cell_table
 
@@ -68,6 +73,16 @@ def test_triangulate_overflowing_areas_exits_2(capsys, synth_dataset, write_land
     assert rc == 2
     assert out == ""
     assert err.startswith("error: data:") and "non-finite" in err
+
+
+def test_triangulate_subnormal_coordinate_exits_2(tmp_path, capsys):
+    # Its one triangle has an exact area below the smallest double.
+    path = tmp_path / "tiny.csv"
+    path.write_text("0,1\n1,1.5\n4.9e-324,1\n")
+    rc, out, err = run_cli(capsys, "triangulate", "--landmarks", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: data:") and "tiny.csv:3: subnormal" in err
 
 
 def test_triangulate_missing_file(tmp_path, capsys):
@@ -410,6 +425,42 @@ def test_evaluate_several_manifests_is_the_per_cell_table(
     assert rc == 0, err
     render = render_text_report if report == "text" else render_csv_report
     assert out == render(per_cell_table(scheme_manifests, (3, 2, 1)))
+
+
+def test_evaluate_loads_each_manifest_once(capsys, monkeypatch, scheme_manifests):
+    loaded = []
+    real = dataset_io.load_manifest
+    monkeypatch.setattr(dataset_io, "load_manifest", lambda p: loaded.append(p) or real(p))
+    argv = ["evaluate"]
+    for manifest in scheme_manifests:
+        argv += ["--manifest", manifest]
+    argv += ["--train-variants", "3,2", "--modes", "pca-only,dt-pca", "--report", "csv"]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0, err
+    assert loaded == scheme_manifests
+
+
+def test_evaluate_split_range_checks_every_manifest_first(
+    capsys, monkeypatch, tmp_path, scheme_manifests
+):
+    # The last manifest has 3 variants, so split 3 is a usage error before
+    # any image of the first is read.
+    short = tmp_path / "short_12.csv"
+    entries = load_manifest(scheme_manifests[2]).entries
+    save_manifest(DatasetManifest(tuple(e for e in entries if e.variant != "v4")), short)
+    monkeypatch.setattr(dataset_io, "load_image", None)
+    rc, out, err = run_cli(
+        capsys,
+        "evaluate",
+        "--manifest", scheme_manifests[0],
+        "--manifest", str(short),
+        "--train-variants", "2,3",
+        "--modes", "pca-only,dt-pca",
+        "--report", "text",
+    )
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: usage:") and str(short) in err
 
 
 # --- usage handling ------------------------------------------------------------------

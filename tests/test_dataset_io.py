@@ -162,6 +162,20 @@ def test_load_landmarks_non_finite(tmp_path, token):
         load_landmarks(path)
 
 
+@pytest.mark.parametrize("token", ["4.9e-324", "-1e-310", "2.225073858507201e-308"])
+def test_load_landmarks_subnormal(tmp_path, token):
+    path = tmp_path / "subnormal.csv"
+    path.write_text(f"0,1\n1,1.5\n{token},1\n")
+    with pytest.raises(DatasetFormatError, match=r"subnormal\.csv:3: subnormal"):
+        load_landmarks(path)
+
+
+def test_load_landmarks_smallest_normal_and_zero(tmp_path):
+    path = tmp_path / "normal.csv"
+    path.write_text("0,1\n1,1.5\n2.2250738585072014e-308,-0.0\n")
+    assert load_landmarks(path).points[2].tolist() == [2.2250738585072014e-308, 0.0]
+
+
 def test_load_landmarks_crlf_and_decimals(tmp_path):
     path = tmp_path / "crlf.csv"
     path.write_bytes(b"0.5,0.25\r\n4.125,0\r\n2,3.75\r\n")

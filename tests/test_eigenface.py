@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,8 @@ from hypothesis import given, strategies as st
 import oracles
 from dtpca.eigenface import (
     ZeroVarianceError,
-    center_images,
     eigen_distance,
     fit_eigenmodel,
-    mean_image,
     model_from_dict,
     model_to_dict,
     project,
@@ -28,48 +27,48 @@ def toy_model(k=2):
 # --- mean / centering ---------------------------------------------------------
 
 def test_mean_image_pair():
-    assert mean_image([np.array([0.0, 1.0]), np.array([1.0, 0.0])]).tolist() == [0.5, 0.5]
+    assert oracles.mean_image([np.array([0.0, 1.0]), np.array([1.0, 0.0])]).tolist() == [0.5, 0.5]
 
 
 def test_mean_image_singleton():
-    assert mean_image([np.array([0.2, 0.2])]).tolist() == [0.2, 0.2]
+    assert oracles.mean_image([np.array([0.2, 0.2])]).tolist() == [0.2, 0.2]
 
 
 def test_mean_image_three():
-    m = mean_image(TOY_IMAGES)
+    m = oracles.mean_image(TOY_IMAGES)
     assert np.allclose(m, [1 / 3, 1 / 3])
 
 
 def test_mean_image_empty():
     with pytest.raises(ValueError):
-        mean_image([])
+        oracles.mean_image([])
 
 
 def test_mean_image_dim_mismatch():
     with pytest.raises(ValueError):
-        mean_image([np.zeros(2), np.zeros(3)])
+        oracles.mean_image([np.zeros(2), np.zeros(3)])
 
 
 def test_center_images_rows():
-    rows = center_images(
+    rows = oracles.center_images(
         [np.array([0.0, 1.0]), np.array([1.0, 0.0])], np.array([0.5, 0.5])
     )
     assert rows.tolist() == [[-0.5, 0.5], [0.5, -0.5]]
 
 
 def test_center_images_identity_case():
-    rows = center_images([np.array([0.3, 0.7])], np.array([0.3, 0.7]))
+    rows = oracles.center_images([np.array([0.3, 0.7])], np.array([0.3, 0.7]))
     assert rows.tolist() == [[0.0, 0.0]]
 
 
 def test_center_images_three():
-    rows = center_images(TOY_IMAGES, np.array([1 / 3, 1 / 3]))
+    rows = oracles.center_images(TOY_IMAGES, np.array([1 / 3, 1 / 3]))
     assert np.allclose(rows, [[-1 / 3, -1 / 3], [2 / 3, -1 / 3], [-1 / 3, 2 / 3]])
 
 
 def test_center_images_dim_mismatch():
     with pytest.raises(ValueError):
-        center_images(TOY_IMAGES, np.zeros(3))
+        oracles.center_images(TOY_IMAGES, np.zeros(3))
 
 
 # --- fit_eigenmodel -------------------------------------------------------------
@@ -131,6 +130,41 @@ def test_rank_bound_nonzero_eigenvalues():
     assert m.k <= 3
     assert np.all(m.eigenvalues > 0)
     assert np.all(np.diff(m.eigenvalues) <= 0)
+
+
+def test_fit_peak_memory_below_two_image_matrices():
+    # The stacked n x d rows are the fit's one large buffer; the k x d
+    # eigenvectors (k < n) and their norm's temporary come on top.
+    rng = np.random.default_rng(40)
+    n, d = 40, 64 * 48
+    imgs = [rng.uniform(size=d) for _ in range(n)]
+    tracemalloc.start()
+    try:
+        fit_eigenmodel(imgs, k=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * d * 8
+
+
+def test_fit_centers_like_the_oracle_bit_for_bit():
+    # Centering in place gives the bits of a separate `rows - mean`.
+    rng = np.random.default_rng(42)
+    imgs = [rng.uniform(size=30) for _ in range(9)]
+    m = fit_eigenmodel(imgs, k=8)
+    assert np.array_equal(m.mean, oracles.mean_image(imgs))
+    centered = oracles.center_images(imgs, m.mean)
+    lam = np.linalg.eigh(centered @ centered.T)[0][::-1]
+    assert np.array_equal(m.eigenvalues, lam[: m.k] / 8)
+
+
+@pytest.mark.parametrize("as_matrix", [False, True])
+def test_fit_leaves_inputs_unmodified(as_matrix):
+    rng = np.random.default_rng(41)
+    matrix = rng.uniform(size=(8, 12))
+    images = matrix.copy() if as_matrix else [row.copy() for row in matrix]
+    fit_eigenmodel(images, k=5)
+    assert np.array_equal(np.vstack(images), matrix)
 
 
 # --- projection / reconstruction -----------------------------------------------
