@@ -38,7 +38,6 @@ from .geometry import (
     average_relative_area,
     delaunay,
     empty_circumcircle_violations,
-    in_circumcircle,
     relative_areas,
     triangle_area,
 )

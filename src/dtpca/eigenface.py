@@ -105,9 +105,10 @@ def fit_eigenmodel(images, k: int) -> EigenModel:
     # projections are bit-identical before and after JSON round trips.
     eigvecs = vecs[:, :kept].T @ rows
     eigvecs /= sigma[:, None]
-    # Renormalize and canonicalize signs for byte-stable serialization.
-    eigvecs /= np.linalg.norm(eigvecs, axis=1, keepdims=True)
+    # Renormalize and canonicalize signs for byte-stable serialization.  A
+    # row's norm sums as np.linalg.norm(axis=1) does, with no k x d temporary.
     for row in eigvecs:
+        row /= np.sqrt(np.add.reduce(row * row))
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
 

@@ -12,9 +12,9 @@ the hull ring both ways from that point finds the run.  The new point is
 fanned onto the run, and Lawson flips legalize only the edges opposite it
 (Guibas and Stolfi 1985).  Degenerate cocircular quads are resolved
 deterministically: the kept diagonal is the one whose lowest vertex index
-is smallest.  Every orientation and in-circle sign is exact: a
-floating-point filter decides almost all of them, and the rest are
-recomputed with Fractions.
+is smallest.  Every orientation and in-circle sign is exact: one error
+bound per mesh decides almost all of them, a per-call floating-point filter
+most of the rest, and Fractions the remainder.
 """
 
 from __future__ import annotations
@@ -116,45 +116,45 @@ def average_relative_area(ras) -> float:
     return float(arr.mean())
 
 
+def _orient_det(ax, ay, bx, by, cx, cy):
+    """Orientation determinant of (a, b, c), positive when counterclockwise.
+    Runs unchanged on floats, numpy arrays and Fractions."""
+    return (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
+
+
 def _orient(ax, ay, bx, by, cx, cy):
-    """Orientation determinant of (a, b, c) and its permanent.
-
-    Positive when (a, b, c) is counterclockwise.  Runs unchanged on floats,
-    numpy arrays and Fractions.
-    """
-    t1 = (ax - cx) * (by - cy)
-    t2 = (ay - cy) * (bx - cx)
-    return t1 - t2, abs(t1) + abs(t2)
+    """_orient_det of (a, b, c) and its permanent."""
+    permanent = abs((ax - cx) * (by - cy)) + abs((ay - cy) * (bx - cx))
+    return _orient_det(ax, ay, bx, by, cx, cy), permanent
 
 
-def _incircle(ax, ay, bx, by, cx, cy, px, py):
-    """Lifted 3x3 determinant for p against circle(a, b, c), plus permanent.
-
-    Positive when p is inside, for counterclockwise (a, b, c).  Runs
-    unchanged on floats, numpy arrays and Fractions.
-    """
+def _incircle_det(ax, ay, bx, by, cx, cy, px, py):
+    """Lifted 3x3 determinant for p against circle(a, b, c), positive when
+    p is inside for counterclockwise (a, b, c).  Runs unchanged on floats,
+    numpy arrays and Fractions."""
     adx = ax - px
     ady = ay - py
     bdx = bx - px
     bdy = by - py
     cdx = cx - px
     cdy = cy - py
-    alift = adx * adx + ady * ady
-    blift = bdx * bdx + bdy * bdy
-    clift = cdx * cdx + cdy * cdy
-    bdxcdy = bdx * cdy
-    cdxbdy = cdx * bdy
-    cdxady = cdx * ady
-    adxcdy = adx * cdy
-    adxbdy = adx * bdy
-    bdxady = bdx * ady
-    det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) + clift * (adxbdy - bdxady)
-    permanent = (
-        alift * (abs(bdxcdy) + abs(cdxbdy))
-        + blift * (abs(cdxady) + abs(adxcdy))
-        + clift * (abs(adxbdy) + abs(bdxady))
+    return (
+        (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+        + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
+        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
     )
-    return det, permanent
+
+
+def _incircle(ax, ay, bx, by, cx, cy, px, py):
+    """_incircle_det of p against circle(a, b, c) and its permanent."""
+    diffs = (ax - px, ay - py, bx - px, by - py, cx - px, cy - py)
+    adx, ady, bdx, bdy, cdx, cdy = map(abs, diffs)
+    permanent = (
+        (adx * adx + ady * ady) * (bdx * cdy + cdx * bdy)
+        + (bdx * bdx + bdy * bdy) * (cdx * ady + adx * cdy)
+        + (cdx * cdx + cdy * cdy) * (adx * bdy + bdx * ady)
+    )
+    return _incircle_det(ax, ay, bx, by, cx, cy, px, py), permanent
 
 
 def _exact(kernel, bound, *coords):
@@ -179,23 +179,6 @@ def orientation(a, b, c) -> int:
         _orient, ORIENT_BOUND,
         float(a[0]), float(a[1]), float(b[0]), float(b[1]), float(c[0]), float(c[1]),
     )
-
-
-def in_circumcircle(a, b, c, p) -> str:
-    """Classify p against the circumcircle of triangle (a, b, c).
-
-    Returns "inside", "on", or "outside", decided exactly and independent
-    of the orientation in which a, b, c are given.  Raises ValueError if
-    a, b, c are collinear (no circumcircle exists).
-    """
-    coords = [float(v) for q in (a, b, c, p) for v in (q[0], q[1])]
-    side = _sign(_orient, ORIENT_BOUND, *coords[:6])
-    if side == 0:
-        raise ValueError("collinear points have no circumcircle")
-    s = _sign(_incircle, INCIRCLE_BOUND, *coords)
-    if s == 0:
-        return "on"
-    return "inside" if s == side else "outside"
 
 
 def empty_circumcircle_violations(points, triangles):
@@ -225,9 +208,26 @@ def empty_circumcircle_violations(points, triangles):
     return [(int(t), int(p)) for t, p in np.argwhere(inside)]
 
 
-def _tie_undecided(tri, twin, pts) -> bool:
-    """Whether the float filter leaves undecided some in-circle sign that
-    the cocircular tie-break pass of `delaunay` would test."""
+def _static_bounds(xs, ys) -> tuple[float, float]:
+    """Orientation and in-circle error bounds for any points of xs, ys
+    (Devillers and Pion, "Efficient exact geometric predicates for Delaunay
+    triangulations", 2003).  Rounding is monotone, so every computed
+    coordinate difference is at most span, and a permanent at most 2 span**2
+    (orientation) or 12 span**4 (in-circle), give or take a few roundings
+    that the 1 + 2**-40 factor covers.  So a determinant beyond a bound also
+    passes the filter of `_exact`.  An overflow makes a bound inf; float
+    `**` would raise OverflowError instead."""
+    span = max(max(xs) - min(xs), max(ys) - min(ys))
+    sq = span * span
+    return (
+        ORIENT_BOUND * (2 * sq) * (1 + 2**-40) + TINY,
+        INCIRCLE_BOUND * (12 * (sq * sq)) * (1 + 2**-40) + TINY,
+    )
+
+
+def _tie_undecided(tri, twin, pts, bound) -> bool:
+    """Whether the in-circle bound of `_static_bounds` leaves undecided some
+    sign that the cocircular tie-break pass of `delaunay` would test."""
     tri, twin = np.array(tri, dtype=np.intp), np.array(twin, dtype=np.intp)
     opposite = tri.reshape(-1, 3)[:, [2, 0, 1]].ravel()  # corner facing each halfedge
     a = np.flatnonzero(twin > np.arange(len(twin)))
@@ -236,8 +236,7 @@ def _tie_undecided(tri, twin, pts) -> bool:
     quads = quads[:, np.minimum(quads[2], quads[3]) < np.minimum(quads[0], quads[1])]
     coords = pts[quads].transpose(0, 2, 1).reshape(8, -1)  # ux, uy, vx, ..., dy
     with np.errstate(over="ignore", invalid="ignore"):  # overflow goes exact
-        det, perm = _incircle(*coords)
-        return not np.all(np.abs(det) > INCIRCLE_BOUND * perm + TINY)
+        return not np.all(np.abs(_incircle_det(*coords)) > bound)
 
 
 def delaunay(landmarks) -> Triangulation:
@@ -288,13 +287,21 @@ def delaunay(landmarks) -> Triangulation:
         if b >= 0:
             twin[b] = a
 
+    orient_bound, incircle_bound = _static_bounds(xs, ys)
+
+    def orient_sign(a, b, c):
+        # 1 when (a, b, c) is counterclockwise, 0 collinear, -1 clockwise.
+        det = _orient_det(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c])
+        if det > orient_bound:
+            return 1
+        if det < -orient_bound:
+            return -1
+        return _sign(_orient, ORIENT_BOUND, xs[a], ys[a], xs[b], ys[b], xs[c], ys[c])
+
     def incircle_sign(a, b, c, d):
         # 1 when d is strictly inside the circumcircle of the counterclockwise
         # triangle (a, b, c), 0 on it, -1 outside.
         coords = (xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[d], ys[d])
-        det, perm = _incircle(*coords)
-        if abs(det) > INCIRCLE_BOUND * perm + TINY:
-            return 1 if det > 0 else -1
         return _sign(_incircle, INCIRCLE_BOUND, *coords)
 
     def flip(a):
@@ -319,23 +326,11 @@ def delaunay(landmarks) -> Triangulation:
         link(ar, bl)
         return b0 + (b + 1) % 3
 
-    def right_of(a, b, px, py):
-        # _orient(a, b, p) < 0, with its float filter inlined.
-        t1 = (xs[b] - xs[a]) * (py - ys[a])
-        t2 = (ys[b] - ys[a]) * (px - xs[a])
-        if abs(t1 - t2) > ORIENT_BOUND * (abs(t1) + abs(t2)) + TINY:
-            return t1 < t2
-        return _sign(_orient, ORIENT_BOUND, xs[a], ys[a], xs[b], ys[b], px, py) < 0
-
     chain: list[int] = []  # leading collinear run, in sorted order
     last = -1  # the point inserted last, once the mesh is 2D
     for i in order.tolist():
-        px, py = xs[i], ys[i]
         if last < 0:
-            side = 0
-            if len(chain) >= 2:
-                c0, cl = chain[0], chain[-1]
-                side = _sign(_orient, ORIENT_BOUND, xs[c0], ys[c0], xs[cl], ys[cl], px, py)
+            side = orient_sign(chain[0], chain[-1], i) if len(chain) >= 2 else 0
             if side == 0:
                 chain.append(i)
                 continue
@@ -358,9 +353,9 @@ def delaunay(landmarks) -> Triangulation:
         # point, the hull's lexicographic maximum, since every direction into
         # the hull from there points away from i.  Walk both ways from it.
         first = last
-        while right_of(hull_prev[first], first, px, py):
+        while orient_sign(hull_prev[first], first, i) < 0:
             first = hull_prev[first]
-        while right_of(last, hull_next[last], px, py):
+        while orient_sign(last, hull_next[last], i) < 0:
             last = hull_next[last]
         t0 = size
         v = first
@@ -385,8 +380,13 @@ def delaunay(landmarks) -> Triangulation:
             if b < 0:
                 continue
             a0 = a - a % 3
+            pr, pl, p0 = tri[a], tri[a0 + (a + 1) % 3], tri[a0 + (a + 2) % 3]
             p1 = tri[b - b % 3 + (b + 2) % 3]
-            if incircle_sign(tri[a], tri[a0 + (a + 1) % 3], tri[a0 + (a + 2) % 3], p1) > 0:
+            det = _incircle_det(xs[pr], ys[pr], xs[pl], ys[pl], xs[p0], ys[p0], xs[p1], ys[p1])
+            # Beyond the bound the sign is det's; within it, or nan, exact.
+            if det > incircle_bound or (
+                not det < -incircle_bound and incircle_sign(pr, pl, p0, p1) > 0
+            ):
                 stack.append(flip(a))
                 stack.append(a)
 
@@ -399,9 +399,9 @@ def delaunay(landmarks) -> Triangulation:
     # nor the scan order matters: the rule's only fixpoint is the fan from
     # each cocircular polygon's lowest index, as a diagonal missing that
     # index borders a fan triangle whose quad contains it.  Only an exact
-    # zero flips, so the pass runs only when the float filter leaves some
+    # zero flips, so the pass runs only when the per-mesh bound leaves some
     # candidate's in-circle sign undecided.
-    flipped = _tie_undecided(tri[:size], twin[:size], pts)
+    flipped = _tie_undecided(tri[:size], twin[:size], pts, incircle_bound)
     while flipped:
         flipped = False
         for a in range(size):

@@ -4,7 +4,9 @@ Everything here is deliberately brute force and shares no code with the
 package: exact predicates in integer arithmetic, triangulations by
 empty-circumcircle enumeration, hulls by monotone chain, areas by the
 shoelace formula, and eigenspaces by a direct pixel-space covariance
-eigendecomposition.
+eigendecomposition.  The one exception is `in_circumcircle`: no pipeline
+stage calls it, so it lives here, and it classifies a point with the
+package's own exact kernels, so its tests check those kernels.
 """
 
 import itertools
@@ -12,6 +14,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from dtpca.geometry import INCIRCLE_BOUND, ORIENT_BOUND, _incircle, _orient, _sign
 
 
 def orient_raw(a, b, c):
@@ -64,6 +68,23 @@ def all_collinear(points):
     q = exact_points(points)
     b = next((p for p in q[1:] if p != q[0]), None)
     return b is None or all(orient_raw(q[0], b, c) == 0 for c in q[1:])
+
+
+def in_circumcircle(a, b, c, p) -> str:
+    """Classify p against the circumcircle of triangle (a, b, c).
+
+    Returns "inside", "on", or "outside", decided exactly and independent
+    of the orientation in which a, b, c are given.  Raises ValueError if
+    a, b, c are collinear (no circumcircle exists).
+    """
+    coords = [float(v) for q in (a, b, c, p) for v in (q[0], q[1])]
+    side = _sign(_orient, ORIENT_BOUND, *coords[:6])
+    if side == 0:
+        raise ValueError("collinear points have no circumcircle")
+    s = _sign(_incircle, INCIRCLE_BOUND, *coords)
+    if s == 0:
+        return "on"
+    return "inside" if s == side else "outside"
 
 
 def edge_length(p, q) -> float:

@@ -134,7 +134,8 @@ def test_rank_bound_nonzero_eigenvalues():
 
 def test_fit_peak_memory_below_two_image_matrices():
     # The stacked n x d rows are the fit's one large buffer; the k x d
-    # eigenvectors (k < n) and their norm's temporary come on top.
+    # eigenvectors (k < n) come on top, and their norm needs no second
+    # k x d array (it measured 1.56 n*d*8 with one, 1.36 without).
     rng = np.random.default_rng(40)
     n, d = 40, 64 * 48
     imgs = [rng.uniform(size=d) for _ in range(n)]
@@ -144,7 +145,7 @@ def test_fit_peak_memory_below_two_image_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * n * d * 8
+    assert peak < 1.45 * n * d * 8
 
 
 def test_fit_centers_like_the_oracle_bit_for_bit():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 
@@ -7,12 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from dtpca import synthetic
+from dtpca import geometry, synthetic
 from dtpca.geometry import (
     average_relative_area,
     delaunay,
     empty_circumcircle_violations,
-    in_circumcircle,
     relative_areas,
     triangle_area,
 )
@@ -21,27 +21,27 @@ from dtpca.geometry import (
 # --- in_circumcircle -------------------------------------------------------
 
 def test_incircle_inside():
-    assert in_circumcircle((0, 0), (1, 0), (0, 1), (0.5, 0.5)) == "inside"
+    assert oracles.in_circumcircle((0, 0), (1, 0), (0, 1), (0.5, 0.5)) == "inside"
 
 
 def test_incircle_on():
     # (1, 1) is diametrically opposite (0, 0) on the circumcircle.
-    assert in_circumcircle((0, 0), (1, 0), (0, 1), (1, 1)) == "on"
+    assert oracles.in_circumcircle((0, 0), (1, 0), (0, 1), (1, 1)) == "on"
 
 
 def test_incircle_outside():
-    assert in_circumcircle((0, 0), (1, 0), (0, 1), (2, 2)) == "outside"
+    assert oracles.in_circumcircle((0, 0), (1, 0), (0, 1), (2, 2)) == "outside"
 
 
 def test_incircle_near_cocircular_is_not_on():
     # 2**-44 off the circle: a relative tolerance band used to call it "on".
-    assert in_circumcircle((0, 0), (1, 0), (0, 1), (1, 1 + 2**-44)) == "outside"
-    assert in_circumcircle((0, 0), (1, 0), (0, 1), (1, 1 - 2**-44)) == "inside"
+    assert oracles.in_circumcircle((0, 0), (1, 0), (0, 1), (1, 1 + 2**-44)) == "outside"
+    assert oracles.in_circumcircle((0, 0), (1, 0), (0, 1), (1, 1 - 2**-44)) == "inside"
 
 
 def test_incircle_collinear_raises():
     with pytest.raises(ValueError):
-        in_circumcircle((0, 0), (1, 1), (2, 2), (0, 1))
+        oracles.in_circumcircle((0, 0), (1, 1), (2, 2), (0, 1))
 
 
 @given(
@@ -57,12 +57,12 @@ def test_incircle_orientation_independent(pts, perm):
     a, b, c, p = [np.array(q, dtype=float) for q in pts]
     tri = [a, b, c]
     try:
-        base = in_circumcircle(a, b, c, p)
+        base = oracles.in_circumcircle(a, b, c, p)
     except ValueError:
         with pytest.raises(ValueError):
-            in_circumcircle(tri[perm[0]], tri[perm[1]], tri[perm[2]], p)
+            oracles.in_circumcircle(tri[perm[0]], tri[perm[1]], tri[perm[2]], p)
         return
-    assert in_circumcircle(tri[perm[0]], tri[perm[1]], tri[perm[2]], p) == base
+    assert oracles.in_circumcircle(tri[perm[0]], tri[perm[1]], tri[perm[2]], p) == base
 
 
 # --- scalar descriptor chain ------------------------------------------------
@@ -356,6 +356,50 @@ def test_delaunay_exact_on_degenerate_inputs(family, data):
     # degenerate: an area is 0 only where the exact area rounds to 0.
     for t, area in zip(tri.triangles, tri.areas):
         assert area > 0 or float(oracles.exact_area(*pts[list(t)])) == 0
+
+
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda p: p,
+        lambda p: 1e8 + p,
+        lambda p: p * (1e78, 1e75),
+        lambda p: p * 1e150,
+        lambda p: p * 1e-150,
+    ],
+    ids=["unit", "offset-1e8", "strip-1e78x1e75", "scale-1e150", "scale-1e-150"],
+)
+@settings(max_examples=60, deadline=None)
+@given(pts=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=4, max_size=6))
+def test_static_bounds_cover_every_filter_bound(place, pts):
+    # A sign the per-mesh bound decides must also pass the per-call filter,
+    # so that bound may not fall below the filter's for any 3 or 4 points
+    # of the set, in any order.  An overflow may only make it inf.
+    pts = place(np.array(pts))
+    static = geometry._static_bounds(pts[:, 0].tolist(), pts[:, 1].tolist())
+    kernels = ((geometry._orient, geometry.ORIENT_BOUND, 3),
+               (geometry._incircle, geometry.INCIRCLE_BOUND, 4))
+    for (kernel, bound, arity), mesh_bound in zip(kernels, static):
+        idx = np.array(list(itertools.permutations(range(len(pts)), arity)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, perm = kernel(*(pts[idx[:, k], axis] for k in range(arity) for axis in (0, 1)))
+            call_bound = bound * perm + geometry.TINY
+        assert not math.isnan(mesh_bound)
+        assert mesh_bound == math.inf or np.all(call_bound <= mesh_bound)
+
+
+def test_delaunay_mesh_bound_decides_the_synthetic_clouds(monkeypatch):
+    # On the 135 paper-scale clouds of each scheme the per-mesh bounds
+    # decide every sign, so no kernel that computes a permanent runs.
+    calls = []
+    for name in ("_orient", "_incircle"):
+        kernel = getattr(geometry, name)
+        monkeypatch.setattr(geometry, name, lambda *c, k=kernel, n=name: calls.append(n) or k(*c))
+    for scheme in (68, 79, 194):
+        for si in range(15):
+            for vi in range(9):
+                delaunay(synthetic._landmark_cloud(si, vi, scheme, 0))
+    assert calls == []
 
 
 def test_delaunay_random_suite_validity_counts_areas():
