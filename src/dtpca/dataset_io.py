@@ -176,7 +176,7 @@ def load_landmarks(path) -> LandmarkSet:
                 raise DatasetFormatError(
                     f"{path}:{lineno}: non-finite coordinate {line!r}"
                 )
-            if any(0 < abs(v) < sys.float_info.min for v in (x, y)):
+            if 0 < abs(x) < sys.float_info.min or 0 < abs(y) < sys.float_info.min:
                 raise DatasetFormatError(
                     f"{path}:{lineno}: subnormal coordinate {line!r}"
                 )
@@ -192,10 +192,11 @@ def load_landmarks(path) -> LandmarkSet:
 
 def _all_collinear(points) -> bool:
     a = points[0]
-    b = next((p for p in points[1:] if p != a), None)
+    rest = iter(points[1:])
+    b = next((p for p in rest if p != a), None)  # rest now starts after b
     if b is None:
         return True
-    return all(geometry.orientation(a, b, c) == 0 for c in points[1:])
+    return all(geometry.orientation(a, b, c) == 0 for c in rest)
 
 
 MANIFEST_HEADER = ["image_path", "subject_id", "variant", "landmark_path"]

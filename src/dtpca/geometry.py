@@ -14,7 +14,10 @@ fanned onto the run, and Lawson flips legalize only the edges opposite it
 deterministically: the kept diagonal is the one whose lowest vertex index
 is smallest.  Every orientation and in-circle sign is exact: one error
 bound per mesh decides almost all of them, a per-call floating-point filter
-most of the rest, and Fractions the remainder.
+most of the rest, and the determinant alone on Fractions the remainder.
+Only the sweep runs per point in Python; the finished mesh goes to numpy
+once, for the tie-break trigger, the canonical triangle order and Heron's
+formula over all triangles (edge lengths from math.hypot).
 """
 
 from __future__ import annotations
@@ -69,24 +72,28 @@ class Triangulation:
         }
 
 
-def triangle_area(l1: float, l2: float, l3: float) -> float:
-    """Triangle area from its three edge lengths (Heron's formula).
+def triangle_area(l1, l2, l3):
+    """Triangle area from its three edge lengths (Heron's formula), of one
+    triangle or elementwise over arrays of lengths.
 
     A slightly negative radicand from rounding is clamped to zero; a
     radicand below -1e-9 * S**4 means the lengths genuinely violate the
-    triangle inequality and raises ValueError.
+    triangle inequality and raises ValueError.  Overflow gives inf or nan.
     """
-    if l1 < 0 or l2 < 0 or l3 < 0:
+    lengths = np.array([l1, l2, l3], dtype=float)
+    if (lengths < 0).any():
         raise ValueError("edge lengths must be non-negative")
+    l1, l2, l3 = lengths
     s = (l1 + l2 + l3) / 2.0
-    radicand = s * (s - l1) * (s - l2) * (s - l3)
-    if radicand < 0:
-        if radicand < -1e-9 * s * s * s * s:  # s**4 would raise OverflowError
-            raise ValueError(
-                f"edge lengths ({l1}, {l2}, {l3}) violate the triangle inequality"
-            )
-        radicand = 0.0
-    return math.sqrt(radicand)
+    with np.errstate(over="ignore", invalid="ignore"):
+        radicand = s * (s - l1) * (s - l2) * (s - l3)
+        violated = radicand < -1e-9 * s * s * s * s
+    if violated.any():
+        l1, l2, l3 = lengths.reshape(3, -1)[:, np.argmax(violated)]
+        raise ValueError(
+            f"edge lengths ({l1}, {l2}, {l3}) violate the triangle inequality"
+        )
+    return np.sqrt(np.where(radicand < 0, 0.0, radicand))
 
 
 def relative_areas(areas) -> np.ndarray:
@@ -157,26 +164,27 @@ def _incircle(ax, ay, bx, by, cx, cy, px, py):
     return _incircle_det(ax, ay, bx, by, cx, cy, px, py), permanent
 
 
-def _exact(kernel, bound, *coords):
+def _exact(kernel, det, bound, *coords):
     """A kernel's determinant at float coordinates with its exact sign: the
-    double result when it passes the filter, else the kernel on Fractions."""
-    det, permanent = kernel(*coords)
-    if not abs(det) > bound * permanent + TINY:
-        det, _ = kernel(*map(Fraction, coords))
-    return det
+    double result when it passes the filter, else `det`, the kernel's
+    determinant alone, on Fractions."""
+    value, permanent = kernel(*coords)
+    if not abs(value) > bound * permanent + TINY:
+        value = det(*map(Fraction, coords))
+    return value
 
 
-def _sign(kernel, bound, *coords) -> int:
+def _sign(kernel, det, bound, *coords) -> int:
     """Exact sign of a kernel's determinant at float coordinates."""
-    det = _exact(kernel, bound, *coords)
-    return (det > 0) - (det < 0)
+    value = _exact(kernel, det, bound, *coords)
+    return (value > 0) - (value < 0)
 
 
 def orientation(a, b, c) -> int:
     """Exact orientation of (a, b, c): 1 counterclockwise, -1 clockwise,
     0 collinear."""
     return _sign(
-        _orient, ORIENT_BOUND,
+        _orient, _orient_det, ORIENT_BOUND,
         float(a[0]), float(a[1]), float(b[0]), float(b[1]), float(c[0]), float(c[1]),
     )
 
@@ -203,8 +211,9 @@ def empty_circumcircle_violations(points, triangles):
     unsure[np.arange(len(tris))[:, None], tris] = False
     for t, p in np.argwhere(unsure):
         tri = [float(v[t, 0]) for v in corners]
-        side = _sign(_orient, ORIENT_BOUND, *tri)
-        inside[t, p] = side * _sign(_incircle, INCIRCLE_BOUND, *tri, *pts[p].tolist()) > 0
+        side = _sign(_orient, _orient_det, ORIENT_BOUND, *tri)
+        coords = *tri, *pts[p].tolist()
+        inside[t, p] = side * _sign(_incircle, _incircle_det, INCIRCLE_BOUND, *coords) > 0
     return [(int(t), int(p)) for t, p in np.argwhere(inside)]
 
 
@@ -227,16 +236,17 @@ def _static_bounds(xs, ys) -> tuple[float, float]:
 
 def _tie_undecided(tri, twin, pts, bound) -> bool:
     """Whether the in-circle bound of `_static_bounds` leaves undecided some
-    sign that the cocircular tie-break pass of `delaunay` would test."""
-    tri, twin = np.array(tri, dtype=np.intp), np.array(twin, dtype=np.intp)
+    sign that the cocircular tie-break pass of `delaunay` would test, given
+    that pass's halfedge arrays `tri` and `twin`."""
     opposite = tri.reshape(-1, 3)[:, [2, 0, 1]].ravel()  # corner facing each halfedge
     a = np.flatnonzero(twin > np.arange(len(twin)))
     b = twin[a]
     quads = np.array([tri[a], tri[b], opposite[a], opposite[b]])
     quads = quads[:, np.minimum(quads[2], quads[3]) < np.minimum(quads[0], quads[1])]
-    coords = pts[quads].transpose(0, 2, 1).reshape(8, -1)  # ux, uy, vx, ..., dy
+    x, y = pts[:, 0], pts[:, 1]
+    coords = [v[q] for q in quads for v in (x, y)]  # ux, uy, vx, ..., dy
     with np.errstate(over="ignore", invalid="ignore"):  # overflow goes exact
-        return not np.all(np.abs(_incircle_det(*coords)) > bound)
+        return not (np.abs(_incircle_det(*coords)) > bound).all()
 
 
 def delaunay(landmarks) -> Triangulation:
@@ -282,11 +292,6 @@ def delaunay(landmarks) -> Triangulation:
     hull_prev = [0] * n
     hull_he = [0] * n
 
-    def link(a, b):
-        twin[a] = b
-        if b >= 0:
-            twin[b] = a
-
     orient_bound, incircle_bound = _static_bounds(xs, ys)
 
     def orient_sign(a, b, c):
@@ -296,35 +301,39 @@ def delaunay(landmarks) -> Triangulation:
             return 1
         if det < -orient_bound:
             return -1
-        return _sign(_orient, ORIENT_BOUND, xs[a], ys[a], xs[b], ys[b], xs[c], ys[c])
+        coords = (xs[a], ys[a], xs[b], ys[b], xs[c], ys[c])
+        return _sign(_orient, _orient_det, ORIENT_BOUND, *coords)
 
     def incircle_sign(a, b, c, d):
         # 1 when d is strictly inside the circumcircle of the counterclockwise
         # triangle (a, b, c), 0 on it, -1 outside.
         coords = (xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[d], ys[d])
-        return _sign(_incircle, INCIRCLE_BOUND, *coords)
+        return _sign(_incircle, _incircle_det, INCIRCLE_BOUND, *coords)
 
+    # Within a triangle, the halfedge after e is e + 1 if e % 3 < 2 else
+    # e - 2, and the one before it e - 1 if e % 3 else e + 2.
     def flip(a):
         # Swap the diagonal shared by halfedge a in triangle (pr, pl, p0) and
         # its twin b in (pl, pr, p1): they become (p1, pl, p0) and
         # (p0, pr, p1).  Returns br, the halfedge pr -> p1, now opposite p0.
         b = twin[a]
-        a0 = a - a % 3
-        b0 = b - b % 3
-        ar = a0 + (a + 2) % 3
-        bl = b0 + (b + 2) % 3
+        ar = a - 1 if a % 3 else a + 2
+        bl = b - 1 if b % 3 else b + 2
         p0, p1 = tri[ar], tri[bl]
         tri[a] = p1
         tri[b] = p0
         hbl, har = twin[bl], twin[ar]
+        twin[a], twin[b] = hbl, har
+        twin[ar], twin[bl] = bl, ar
         if hbl < 0:  # hull edge p1 -> pl moved from slot bl to slot a
             hull_he[p1] = a
+        else:
+            twin[hbl] = a
         if har < 0:  # hull edge p0 -> pr moved from slot ar to slot b
             hull_he[p0] = b
-        link(a, hbl)
-        link(b, har)
-        link(ar, bl)
-        return b0 + (b + 1) % 3
+        else:
+            twin[har] = b
+        return b + 1 if b % 3 < 2 else b - 2
 
     chain: list[int] = []  # leading collinear run, in sorted order
     last = -1  # the point inserted last, once the mesh is 2D
@@ -338,9 +347,9 @@ def delaunay(landmarks) -> Triangulation:
             # counterclockwise hull ring.
             ring = chain if side > 0 else chain[::-1]
             for a, b in zip(ring, ring[1:]):
-                tri[size:size + 3] = a, b, i
+                tri[size], tri[size + 1], tri[size + 2] = a, b, i
                 if size:
-                    link(size + 2, size - 2)
+                    twin[size + 2], twin[size - 2] = size - 2, size + 2
                 hull_next[a], hull_prev[b], hull_he[a] = b, a, size
                 size += 3
             hull_next[b], hull_prev[i], hull_he[b] = i, b, size - 2  # b is ring[-1]
@@ -351,20 +360,30 @@ def delaunay(landmarks) -> Triangulation:
         # i is lexicographically last, so strictly outside the hull, and it
         # sees a contiguous run of hull edges.  The run touches the previous
         # point, the hull's lexicographic maximum, since every direction into
-        # the hull from there points away from i.  Walk both ways from it.
+        # the hull from there points away from i.  Walk both ways from it
+        # while i is strictly right of the hull edge: beyond the bound the
+        # sign is det's, and within it, or nan, exact.
+        xi, yi = xs[i], ys[i]
         first = last
-        while orient_sign(hull_prev[first], first, i) < 0:
-            first = hull_prev[first]
-        while orient_sign(last, hull_next[last], i) < 0:
-            last = hull_next[last]
+        while (
+            (det := _orient_det(xs[q := hull_prev[first]], ys[q], xs[first], ys[first], xi, yi))
+            < -orient_bound or not det > orient_bound and orient_sign(q, first, i) < 0
+        ):
+            first = q
+        while (
+            (det := _orient_det(xs[last], ys[last], xs[q := hull_next[last]], ys[q], xi, yi))
+            < -orient_bound or not det > orient_bound and orient_sign(last, q, i) < 0
+        ):
+            last = q
         t0 = size
         v = first
         while v != last:
             w = hull_next[v]
-            tri[size:size + 3] = w, v, i
-            link(size, hull_he[v])
+            tri[size], tri[size + 1], tri[size + 2] = w, v, i
+            h = hull_he[v]
+            twin[size], twin[h] = h, size
             if size > t0:
-                link(size + 1, size - 1)
+                twin[size + 1], twin[size - 1] = size - 1, size + 1
             size += 3
             v = w
         hull_next[first], hull_prev[i], hull_he[first] = i, first, t0 + 1
@@ -372,23 +391,20 @@ def delaunay(landmarks) -> Triangulation:
         last = i
 
         # Lawson flips (Guibas and Stolfi 1985).  Only edges opposite i can be
-        # illegal, and a flip leaves two new ones to check.
+        # illegal, and a flip leaves two new ones to check, again opposite i.
         stack = list(range(t0, size, 3))
         while stack:
             a = stack.pop()
             b = twin[a]
             if b < 0:
                 continue
-            a0 = a - a % 3
-            pr, pl, p0 = tri[a], tri[a0 + (a + 1) % 3], tri[a0 + (a + 2) % 3]
-            p1 = tri[b - b % 3 + (b + 2) % 3]
-            det = _incircle_det(xs[pr], ys[pr], xs[pl], ys[pl], xs[p0], ys[p0], xs[p1], ys[p1])
+            pr, pl, p1 = tri[a], tri[b], tri[b - 1 if b % 3 else b + 2]
+            det = _incircle_det(xs[pr], ys[pr], xs[pl], ys[pl], xi, yi, xs[p1], ys[p1])
             # Beyond the bound the sign is det's; within it, or nan, exact.
             if det > incircle_bound or (
-                not det < -incircle_bound and incircle_sign(pr, pl, p0, p1) > 0
+                not det < -incircle_bound and incircle_sign(pr, pl, i, p1) > 0
             ):
-                stack.append(flip(a))
-                stack.append(a)
+                stack += flip(a), a
 
     if not size:
         raise ValueError("all points are collinear")
@@ -401,37 +417,40 @@ def delaunay(landmarks) -> Triangulation:
     # index borders a fan triangle whose quad contains it.  Only an exact
     # zero flips, so the pass runs only when the per-mesh bound leaves some
     # candidate's in-circle sign undecided.
-    flipped = _tie_undecided(tri[:size], twin[:size], pts, incircle_bound)
-    while flipped:
-        flipped = False
-        for a in range(size):
-            b = twin[a]
-            if b < a:  # a hull edge, or its twin comes first
-                continue
-            u, v = tri[a], tri[b]
-            c = tri[a - a % 3 + (a + 2) % 3]
-            d = tri[b - b % 3 + (b + 2) % 3]
-            if min(c, d) < min(u, v) and incircle_sign(u, v, c, d) == 0:
-                flip(a)
-                flipped = True
+    corners = np.fromiter(tri, np.intp, size)
+    if _tie_undecided(corners, np.fromiter(twin, np.intp, size), pts, incircle_bound):
+        flipped = True
+        while flipped:
+            flipped = False
+            for a in range(size):
+                b = twin[a]
+                if b < a:  # a hull edge, or its twin comes first
+                    continue
+                u, v = tri[a], tri[b]
+                c = tri[a - 1 if a % 3 else a + 2]
+                d = tri[b - 1 if b % 3 else b + 2]
+                if min(c, d) < min(u, v) and incircle_sign(u, v, c, d) == 0:
+                    flip(a)
+                    flipped = True
+        corners = np.fromiter(tri, np.intp, size)
 
-    triangles = sorted(tuple(sorted(tri[t:t + 3])) for t in range(0, size, 3))
+    # Canonical order: each triangle's indices ascending, then the rows.
+    corners = np.sort(corners.reshape(-1, 3), axis=1)
+    corners = corners[np.lexsort(corners.T[::-1])]
+    triangles = list(zip(*corners.T.tolist()))
 
-    # Heron's formula from edge lengths.  Where it rounds a sliver to 0, take
-    # half the orientation determinant, which is exactly non-zero on every
-    # mesh triangle; only an area below the smallest double stays 0.
-    area_list = []
-    for a, b, c in triangles:
-        area = triangle_area(
-            math.hypot(xs[a] - xs[b], ys[a] - ys[b]),
-            math.hypot(xs[b] - xs[c], ys[b] - ys[c]),
-            math.hypot(xs[c] - xs[a], ys[c] - ys[a]),
-        )
-        if area == 0:
-            coords = (xs[a], ys[a], xs[b], ys[b], xs[c], ys[c])
-            area = float(abs(_exact(_orient, ORIENT_BOUND, *coords)) / 2)
-        area_list.append(area)
-    areas = np.array(area_list)
+    # Heron's formula from edge lengths, in math.hypot's rounding (np.hypot
+    # differs from it in the last bit on about 0.1 % of pairs).  Where Heron
+    # rounds a sliver to 0, take half the orientation determinant, which is
+    # exactly non-zero on every mesh triangle; only an area below the
+    # smallest double stays 0.
+    x, y = pts[:, 0][corners.T], pts[:, 1][corners.T]  # row k: corner k of each triangle
+    dx, dy = (x - x[[1, 2, 0]]).ravel().tolist(), (y - y[[1, 2, 0]]).ravel().tolist()
+    areas = triangle_area(*np.fromiter(map(math.hypot, dx, dy), float, len(dx)).reshape(3, -1))
+    for t in np.flatnonzero(areas == 0).tolist():
+        a, b, c = triangles[t]
+        coords = (xs[a], ys[a], xs[b], ys[b], xs[c], ys[c])
+        areas[t] = float(abs(_exact(_orient, _orient_det, ORIENT_BOUND, *coords)) / 2)
     ras = relative_areas(areas)
     return Triangulation(
         points=pts,

@@ -15,7 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from dtpca.geometry import INCIRCLE_BOUND, ORIENT_BOUND, _incircle, _orient, _sign
+from dtpca.geometry import (
+    INCIRCLE_BOUND, ORIENT_BOUND, _incircle, _incircle_det, _orient, _orient_det, _sign,
+)
 
 
 def orient_raw(a, b, c):
@@ -78,10 +80,10 @@ def in_circumcircle(a, b, c, p) -> str:
     a, b, c are collinear (no circumcircle exists).
     """
     coords = [float(v) for q in (a, b, c, p) for v in (q[0], q[1])]
-    side = _sign(_orient, ORIENT_BOUND, *coords[:6])
+    side = _sign(_orient, _orient_det, ORIENT_BOUND, *coords[:6])
     if side == 0:
         raise ValueError("collinear points have no circumcircle")
-    s = _sign(_incircle, INCIRCLE_BOUND, *coords)
+    s = _sign(_incircle, _incircle_det, INCIRCLE_BOUND, *coords)
     if s == 0:
         return "on"
     return "inside" if s == side else "outside"

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dtpca import geometry
 from dtpca.dataset_io import (
     DatasetFormatError,
     DatasetManifest,
@@ -133,6 +136,19 @@ def test_load_landmarks_collinear(write_landmarks):
     path = write_landmarks("col.csv", [(0, 0), (1, 1), (2, 2)])
     with pytest.raises(DatasetFormatError):
         load_landmarks(path)
+
+
+def test_load_landmarks_collinearity_check_needs_no_fractions(write_landmarks, monkeypatch):
+    # The check tests each point against its first two distinct points a, b.
+    # Only an exactly collinear triple needs Fractions: (a, b, b) is one, so
+    # b itself is skipped.
+    made = []
+    monkeypatch.setattr(geometry, "Fraction", lambda v: made.append(v) or Fraction(v))
+    load_landmarks(write_landmarks("kink.csv", [(0, 0), (1, 1), (2, 2), (3, 0)]))
+    assert made  # (0, 0), (1, 1), (2, 2) is exactly collinear
+    made.clear()
+    load_landmarks(write_landmarks("plain.csv", [(0, 0), (4, 0), (2, 3), (1, 1)]))
+    assert made == []
 
 
 def test_load_landmarks_too_few(write_landmarks):

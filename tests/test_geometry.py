@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -228,6 +229,19 @@ def test_delaunay_cocircular_tie_break_other_labelling():
     assert tri.triangles == [(0, 1, 2), (0, 1, 3)]
 
 
+def test_exact_fallback_recomputes_the_determinant_alone(monkeypatch):
+    # The rectangle's quad is exactly cocircular, so its in-circle sign goes
+    # to Fractions; only the determinant is recomputed there, never the
+    # permanent kernel.
+    seen = []
+    kernel = geometry._incircle
+    monkeypatch.setattr(geometry, "_incircle", lambda *c: seen.append(c) or kernel(*c))
+    tri = delaunay(np.array([(0, 0), (1, 0), (0, 1), (1, 1)], dtype=float))
+    assert tri.triangles == [(0, 1, 3), (0, 2, 3)]
+    assert seen
+    assert not any(isinstance(v, Fraction) for coords in seen for v in coords)
+
+
 # The 12 integer points on the radius-5 circle, all exactly cocircular.
 CIRCLE_5 = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3),
             (-5, 0), (-4, -3), (-3, -4), (0, -5), (3, -4), (4, -3)]
@@ -448,6 +462,57 @@ def test_delaunay_synthetic_clouds_byte_identical():
     assert digest.hexdigest() == (
         "0ae3250b23d41a8d1243c887f9efb65edf443e6fbd7170ae3762803a8117e909"
     )
+
+
+def _degenerate_sets():
+    rng = np.random.default_rng(2024)
+    grid = np.array([(x, y) for x in range(6) for y in range(5)], dtype=float)
+    unit = rng.uniform(0, 1, size=(20, 2))
+    x = np.sort(rng.uniform(0, 10, size=15))
+    chain = np.column_stack([x, 0.5 * x + 1.0 + rng.uniform(-1e-13, 1e-13, size=15)])
+    sets = [rng.uniform(0, 1000, size=(n, 2)) for n in (3, 7, 40, 120)]
+    sets += [grid] + [grid[rng.permutation(len(grid))] for _ in range(3)]
+    sets += [grid + rng.uniform(-1e-14, 1e-14, size=grid.shape) for _ in range(3)]
+    sets += [np.vstack([chain, apex]) for apex in ((5.0, 4.0), (5.0, -2.0), (20.0, 11.0))]
+    sets += [np.array(CIRCLE_5, dtype=float)[rng.permutation(12)] for _ in range(4)]
+    sets += [unit * scale for scale in (1e150, 1e-150, (1e78, 1e75))]
+    return sets
+
+
+def test_delaunay_degenerate_inputs_byte_identical():
+    # Pins meshes and areas where the exact stages decide: uniform sets,
+    # integer grids and shuffles of them (cocircular ties), 1e-14-jittered
+    # grids, near-collinear chains with an apex (slivers whose Heron area
+    # rounds to 0), relabelled radius-5 circles, and scalings that make a
+    # per-mesh bound inf (1e150 and the 1e78 strip) or underflow (1e-150).
+    # The 1e150 set's areas overflow, so its error message is pinned.
+    digest = hashlib.sha256()
+    for pts in _degenerate_sets():
+        try:
+            tri = delaunay(pts)
+        except ValueError as exc:
+            digest.update(str(exc).encode())
+            continue
+        digest.update(repr(tri.triangles).encode())
+        digest.update(tri.areas.tobytes())
+        digest.update(tri.average_relative_area.hex().encode())
+    assert digest.hexdigest() == (
+        "08f5f6f64142e7cb3bdf58596d2a966f51e6256da45c79709312a0771c7daea8"
+    )
+
+
+def test_delaunay_areas_follow_the_scalar_heron_chain():
+    # Edge lengths are math.hypot's: on this set np.hypot rounds some mesh
+    # edges differently, and the areas still equal the scalar chain's bits.
+    pts = np.random.default_rng(5).uniform(0, 100, size=(8, 2))
+    tri = delaunay(pts)
+    differs = 0
+    for (a, b, c), area in zip(tri.triangles, tri.areas):
+        sides = [pts[p] - pts[q] for p, q in ((a, b), (b, c), (c, a))]
+        lengths = [math.hypot(*d) for d in sides]
+        differs += sum(length != np.hypot(*d) for length, d in zip(lengths, sides))
+        assert float(area).hex() == float(triangle_area(*lengths)).hex()
+    assert differs > 0
 
 
 def test_delaunay_similarity_invariance_sample():
