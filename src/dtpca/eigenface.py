@@ -101,8 +101,9 @@ def fit_eigenmodel(images, k: int) -> EigenModel:
     kept = min(k, rank)
 
     sigma = np.sqrt(lam[:kept])
-    # Lift Gram eigenvectors to pixel space; rows come out C-contiguous so
-    # projections are bit-identical before and after JSON round trips.
+    # Lift Gram eigenvectors to pixel space; rows come out C-contiguous, the
+    # layout a gallery file stores, so projections are bit-identical after a
+    # save and reload.
     eigvecs = vecs[:, :kept].T @ rows
     eigvecs /= sigma[:, None]
     # Renormalize and canonicalize signs for byte-stable serialization.  A
@@ -147,53 +148,3 @@ def eigen_distance(a: EigenCoords, b: EigenCoords) -> float:
         raise ValueError(f"coordinate length mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.norm(a - b))
 
-
-def model_to_dict(model: EigenModel) -> dict:
-    """JSON-ready model representation (shortest round-trip decimals)."""
-    return {
-        "width": model.width,
-        "height": model.height,
-        "k": model.k,
-        "mean": [float(v) for v in model.mean],
-        "eigenvalues": [float(v) for v in model.eigenvalues],
-        "eigenvectors": [[float(v) for v in row] for row in model.eigenvectors],
-    }
-
-
-def json_int(obj: dict, key: str) -> int:
-    """A positive JSON integer field; floats and bools are rejected, not
-    truncated.  Raises KeyError or ValueError."""
-    value = obj[key]
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{key} must be a positive integer, got {value!r}")
-    return value
-
-
-def model_from_dict(obj: dict) -> EigenModel:
-    """Rebuild a model from model_to_dict output, rejecting anything
-    fit_eigenmodel cannot have written: non-integer sizes, mismatched
-    shapes, and eigenvalues that are negative or increase."""
-    try:
-        width = json_int(obj, "width")
-        height = json_int(obj, "height")
-        k = json_int(obj, "k")
-        mean = np.array(obj["mean"], dtype=float)
-        eigenvalues = np.array(obj["eigenvalues"], dtype=float)
-        eigenvectors = np.array(obj["eigenvectors"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed eigenmodel object: {exc}") from None
-    if eigenvectors.ndim != 2 or eigenvectors.shape[0] != k or len(eigenvalues) != k:
-        raise ValueError("eigenmodel k does not match its eigenvector count")
-    if len(mean) != width * height or eigenvectors.shape[1] != width * height:
-        raise ValueError("eigenmodel vector length does not match dimensions")
-    if np.any(eigenvalues < 0) or np.any(np.diff(eigenvalues) > 0):
-        raise ValueError("eigenvalues must be non-negative and non-increasing")
-    return EigenModel(
-        width=width,
-        height=height,
-        mean=mean,
-        eigenvectors=eigenvectors,
-        eigenvalues=eigenvalues,
-        k=k,
-        requested_k=k,
-    )

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +28,12 @@ DEFAULT_DT_DIVISOR = 0.001
 
 MODES = ("pca_only", "dt_pca")
 
-GALLERY_FORMAT_VERSION = 1
+GALLERY_FORMAT_VERSION = 2
+
+# The float64 records that follow the header record, in file order.
+GALLERY_ARRAYS = ("mean", "eigenvectors", "eigenvalues", "coords", "ra_avg")
+
+_RETRAIN = "re-run `dtpca train` to rebuild the gallery"
 
 
 class GalleryFormatError(ValueError):
@@ -195,13 +201,14 @@ def recognize(
     )
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file and rename, so failures leave no partial file."""
+@contextmanager
+def _atomic_open(path, mode: str):
+    """A temp file renamed to path on success, so failures leave no partial file."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -209,76 +216,117 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def save_gallery(gallery: Gallery, model: EigenModel, path) -> None:
-    """Serialize gallery + model to JSON (atomic write).
+def atomic_write_text(path, text: str) -> None:
+    """Write via a temp file and rename, so failures leave no partial file."""
+    with _atomic_open(path, "w") as fh:
+        fh.write(text)
 
-    Requires a landmark-complete gallery; a pca-only internal gallery has
-    no file representation.
+
+def save_gallery(gallery: Gallery, model: EigenModel, path) -> None:
+    """Write gallery + model as six .npy records in a row (atomic write).
+
+    The first record is a uint8 JSON header; the rest are the float64
+    arrays named in GALLERY_ARRAYS.  The file lands at path as given, and
+    its bytes depend only on the gallery and model.  Requires a
+    landmark-complete gallery; a pca-only internal gallery has no file
+    representation.
     """
     if gallery.scheme is None or gallery.ra_avg is None:
         raise ValueError("cannot save a gallery built without landmarks")
-    obj = {
+    header = {
         "format_version": GALLERY_FORMAT_VERSION,
-        "model": eigenface.model_to_dict(model),
+        "width": model.width,
+        "height": model.height,
+        "k": model.k,
+        "requested_k": model.requested_k,
         "scheme": gallery.scheme,
-        "entries": [
-            {"subject": subject, "variant": variant, "ra_avg": ra, "coords": coords,
-             "source": source}
-            for subject, variant, ra, coords, source in zip(
-                gallery.subjects, gallery.variants, gallery.ra_avg.tolist(),
-                gallery.coords.tolist(), gallery.sources,
-            )
-        ],
+        "subjects": list(gallery.subjects),
+        "variants": list(gallery.variants),
+        "sources": list(gallery.sources),
     }
-    atomic_write_text(path, json.dumps(obj) + "\n")
+    records = (
+        np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+        model.mean, model.eigenvectors, model.eigenvalues, gallery.coords, gallery.ra_avg,
+    )
+    with _atomic_open(path, "wb") as fh:
+        for record in records:
+            np.lib.format.write_array(
+                fh, np.ascontiguousarray(record), allow_pickle=False
+            )
+
+
+def _positive_int(header: dict, key: str) -> int:
+    """A positive integer header field; floats and bools are rejected, not
+    truncated."""
+    value = header.get(key)
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{key} must be a positive integer, got {value!r}")
+    return value
+
+
+def _decode(raw: np.ndarray, arrays: list[np.ndarray]) -> tuple[Gallery, EigenModel]:
+    """Check the header and arrays against everything save_gallery writes;
+    raises ValueError naming the first violation."""
+    if raw.dtype != np.uint8 or raw.ndim != 1:
+        raise ValueError("the header record is not a uint8 vector")
+    header = json.loads(raw.tobytes().decode())
+    if not isinstance(header, dict):
+        raise ValueError("the header is not a JSON object")
+    version = _positive_int(header, "format_version")
+    if version != GALLERY_FORMAT_VERSION:
+        raise ValueError(f"unsupported format_version {version}; {_RETRAIN}")
+    width, height, k, requested_k, scheme = (
+        _positive_int(header, key)
+        for key in ("width", "height", "k", "requested_k", "scheme")
+    )
+    if requested_k < k:
+        raise ValueError(f"requested_k {requested_k} is below k {k}")
+    labels = [header.get(key) for key in ("subjects", "variants", "sources")]
+    n = len(labels[0]) if isinstance(labels[0], list) else 0
+    if n < 1 or not all(
+        isinstance(v, list) and len(v) == n and all(type(s) is str for s in v)
+        for v in labels
+    ):
+        raise ValueError("subjects, variants and sources must list n >= 1 strings each")
+    d = width * height
+    shapes = ((d,), (k, d), (k,), (n, k), (n,))
+    for name, a, shape in zip(GALLERY_ARRAYS, arrays, shapes):
+        if a.dtype != np.float64 or not a.flags.c_contiguous:
+            raise ValueError(f"{name} must be C-ordered float64 (dtype {a.dtype})")
+        if a.shape != shape:
+            raise ValueError(f"{name} has shape {a.shape}, the header implies {shape}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"non-finite value in {name}")
+    mean, eigenvectors, eigenvalues, coords, ra_avg = arrays
+    if np.any(eigenvalues < 0) or np.any(np.diff(eigenvalues) > 0):
+        raise ValueError("eigenvalues must be non-negative and non-increasing")
+    if not np.all((ra_avg > 0) & (ra_avg <= 1)):
+        raise ValueError("an ra_avg value lies outside (0, 1]")
+    model = EigenModel(width, height, mean, eigenvectors, eigenvalues, k, requested_k)
+    gallery = Gallery(scheme, *map(tuple, labels), coords, ra_avg)
+    return gallery, model
 
 
 def load_gallery(path) -> tuple[Gallery, EigenModel]:
-    """Load a gallery file; the reload reproduces matching bit-exactly."""
-    text = Path(path).read_text()
+    """Load a gallery file; the reload reproduces matching bit-exactly.
+
+    Raises GalleryFormatError for any file save_gallery cannot have
+    written: a JSON gallery of format 1, a truncated or object record,
+    bytes after the sixth record, or a header or array that breaks the
+    format's rules.
+    """
+    magic = np.lib.format.MAGIC_PREFIX
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GalleryFormatError(f"{path}: malformed JSON ({exc})") from None
-    if not isinstance(obj, dict):
-        raise GalleryFormatError(f"{path}: expected a JSON object")
-    version = obj.get("format_version")
-    if version != GALLERY_FORMAT_VERSION:
-        raise GalleryFormatError(f"{path}: unsupported format_version {version!r}")
-    try:
-        model = eigenface.model_from_dict(obj["model"])
-        scheme = eigenface.json_int(obj, "scheme")
-        raw_entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+        with open(path, "rb") as fh:
+            if fh.read(len(magic)) != magic:
+                raise ValueError(f"not a version 2 gallery file; {_RETRAIN}")
+            fh.seek(0)
+            raw, *arrays = (
+                np.lib.format.read_array(fh, allow_pickle=False)
+                for _ in range(1 + len(GALLERY_ARRAYS))
+            )
+            if fh.read(1):
+                raise ValueError("trailing bytes after the last record")
+        return _decode(raw, arrays)
+    except ValueError as exc:
         raise GalleryFormatError(f"{path}: {exc}") from None
-    if not isinstance(raw_entries, list):
-        raise GalleryFormatError(f"{path}: entries must be a list")
-    rows = []
-    for i, raw in enumerate(raw_entries):
-        try:
-            row = (
-                np.array(raw["coords"], dtype=float),
-                str(raw["subject"]),
-                str(raw["variant"]),
-                float(raw["ra_avg"]),
-                str(raw.get("source", "")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise GalleryFormatError(f"{path}: entry {i}: {exc}") from None
-        coords, _, _, ra, _ = row
-        if coords.shape != (model.k,):
-            raise GalleryFormatError(
-                f"{path}: entry {i} has {coords.size} coords, model k={model.k}"
-            )
-        if not 0 < ra <= 1:
-            raise GalleryFormatError(f"{path}: entry {i} ra_avg {ra} outside (0, 1]")
-        rows.append(row)
-    if not rows:
-        raise GalleryFormatError(f"{path}: gallery has no entries")
-    coords, subjects, variants, ra_avg, sources = zip(*rows)
-    coords = np.array(coords)
-    arrays = (coords, model.mean, model.eigenvectors, model.eigenvalues)
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise GalleryFormatError(f"{path}: non-finite coordinate or model value")
-    gallery = Gallery(scheme, subjects, variants, sources, coords, np.array(ra_avg))
-    return gallery, model

@@ -12,6 +12,7 @@ from dtpca.dataset_io import (
 )
 from dtpca.evalharness import render_csv_report, render_text_report
 from test_evalharness import per_cell_table
+from test_recognizer import V1_GALLERY, edit_gallery, gallery_records
 
 
 def run_cli(capsys, *argv):
@@ -105,11 +106,12 @@ def test_train_writes_gallery(tmp_path, capsys, synth_dataset):
         "--out", str(out),
     )
     assert rc == 0, err
-    obj = json.loads(out.read_text())
-    assert obj["format_version"] == 1
-    assert obj["scheme"] == 68
-    assert obj["model"]["k"] <= 25
-    assert len(obj["entries"]) == 20
+    header, arrays = gallery_records(out)
+    assert header["format_version"] == 2
+    assert header["scheme"] == 68
+    assert header["k"] <= 25 == header["requested_k"]
+    assert len(header["subjects"]) == 20
+    assert arrays["coords"].shape == (20, header["k"])
 
 
 def test_train_missing_image_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -170,7 +172,7 @@ def test_train_scheme_dir_override(tmp_path, capsys, synth_dataset):
         "--out", str(out),
     )
     assert rc == 0, err
-    assert json.loads(out.read_text())["scheme"] == 68
+    assert gallery_records(out)[0]["scheme"] == 68
 
 
 # --- recognize --------------------------------------------------------------------
@@ -250,10 +252,9 @@ def test_recognize_rejects_bad_divisor(capsys, synth_dataset, trained_gallery, d
 
 
 def test_recognize_non_finite_gallery_exits_2(capsys, synth_dataset, trained_gallery, tmp_path):
-    obj = json.loads(trained_gallery.read_text())
-    obj["entries"][3]["coords"][0] = float("nan")
     corrupt = tmp_path / "corrupt.json"
-    corrupt.write_text(json.dumps(obj))
+    corrupt.write_bytes(trained_gallery.read_bytes())
+    edit_gallery(corrupt, lambda h, a: a["coords"].__setitem__((3, 0), float("nan")))
     root = synth_dataset["root"]
     rc, out, err = run_cli(
         capsys,
@@ -265,6 +266,21 @@ def test_recognize_non_finite_gallery_exits_2(capsys, synth_dataset, trained_gal
     assert rc == 2
     assert out == ""
     assert err.startswith("error: data:") and "non-finite" in err
+
+
+def test_recognize_v1_gallery_exits_2(capsys, synth_dataset, tmp_path):
+    v1 = tmp_path / "gallery.json"
+    v1.write_text(V1_GALLERY)
+    rc, out, err = run_cli(
+        capsys,
+        "recognize",
+        "--gallery", str(v1),
+        "--image", str(synth_dataset["root"] / "images" / "s03_v2.pgm"),
+        "--mode", "pca-only",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: data:") and "dtpca train" in err
 
 
 def test_recognize_overflowing_landmarks_exits_2(

@@ -1,4 +1,3 @@
-import json
 import math
 import tracemalloc
 
@@ -11,11 +10,17 @@ from dtpca.eigenface import (
     ZeroVarianceError,
     eigen_distance,
     fit_eigenmodel,
-    model_from_dict,
-    model_to_dict,
     project,
     reconstruct,
 )
+from dtpca.recognizer import (
+    GalleryFormatError,
+    TrainingRecord,
+    build_gallery,
+    load_gallery,
+    save_gallery,
+)
+from test_recognizer import edit_gallery, fan_landmarks
 
 TOY_IMAGES = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])]
 
@@ -295,29 +300,41 @@ def test_sign_convention_equivalence():
             ) <= 1e-9
 
 
-# --- serialization ----------------------------------------------------------------
+# --- persistence in a gallery -----------------------------------------------------
 
-def test_model_dict_round_trip_exact():
+def save_model_gallery(path, model, images):
+    """Save model in a gallery whose rows are the given images."""
+    records = [
+        TrainingRecord(img, fan_landmarks(0.3 + 0.1 * i), f"s{i}", "v", "")
+        for i, img in enumerate(images)
+    ]
+    save_gallery(build_gallery(model, records), model, path)
+
+
+def test_model_gallery_round_trip_exact(tmp_path):
     rng = np.random.default_rng(8)
     imgs = [rng.uniform(size=9) for _ in range(5)]
     m = fit_eigenmodel(imgs, k=4)
-    back = model_from_dict(json.loads(json.dumps(model_to_dict(m))))
-    assert np.array_equal(back.mean, m.mean)
-    assert np.array_equal(back.eigenvectors, m.eigenvectors)
-    assert np.array_equal(back.eigenvalues, m.eigenvalues)
-    assert (back.width, back.height, back.k) == (m.width, m.height, m.k)
+    save_model_gallery(tmp_path / "gallery.json", m, imgs)
+    _, back = load_gallery(tmp_path / "gallery.json")
+    assert back.mean.tobytes() == m.mean.tobytes()
+    assert back.eigenvectors.tobytes() == m.eigenvectors.tobytes()
+    assert back.eigenvalues.tobytes() == m.eigenvalues.tobytes()
+    assert (back.width, back.height, back.k, back.requested_k) == (
+        m.width, m.height, m.k, m.requested_k)
 
 
-def test_model_from_dict_k_mismatch():
-    m = toy_model()
-    obj = model_to_dict(m)
-    obj["k"] = 5
-    with pytest.raises(ValueError):
-        model_from_dict(obj)
+def test_gallery_model_k_mismatch(tmp_path):
+    path = tmp_path / "gallery.json"
+    save_model_gallery(path, toy_model(), TOY_IMAGES)
+    edit_gallery(path, lambda header, arrays: header.update(k=5, requested_k=5))
+    with pytest.raises(GalleryFormatError, match="shape"):
+        load_gallery(path)
 
 
-def test_model_from_dict_missing_key():
-    obj = model_to_dict(toy_model())
-    del obj["mean"]
-    with pytest.raises(ValueError):
-        model_from_dict(obj)
+def test_gallery_missing_model_record(tmp_path):
+    path = tmp_path / "gallery.json"
+    save_model_gallery(path, toy_model(), TOY_IMAGES)
+    edit_gallery(path, lambda header, arrays: arrays.pop("mean"))
+    with pytest.raises(GalleryFormatError):
+        load_gallery(path)

@@ -1,7 +1,7 @@
 """The README's Quick start commands run as written and exit 0.
 
 They run in a temporary working directory, so `data/synth` and
-`gallery.json` land there; the dataset is cut to 3 subjects at 8x6.
+`gallery.bin` land there; the dataset is cut to 3 subjects at 8x6.
 """
 
 import shlex
@@ -46,4 +46,4 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
         else:
             rc = cli.main(argv[1:])
             assert rc == 0, (argv, capsys.readouterr().err)
-    assert (tmp_path / "gallery.json").is_file()
+    assert (tmp_path / "gallery.bin").is_file()

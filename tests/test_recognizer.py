@@ -1,5 +1,7 @@
 import json
 import math
+import pickle
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from dtpca import geometry
 from dtpca.dataset_io import ImageVector, LandmarkSet
 from dtpca.eigenface import eigen_distance, fit_eigenmodel, project
 from dtpca.recognizer import (
+    GALLERY_ARRAYS,
     GalleryFormatError,
     TrainingRecord,
     build_gallery,
@@ -323,6 +326,84 @@ def test_recognize_deterministic(flip_fixture):
 
 # --- persistence ----------------------------------------------------------------
 
+# What the format-1 (JSON) writer wrote for flip_fixture's gallery.
+V1_GALLERY = (
+    '{"format_version": 1, "model": {"width": 1, "height": 1, "k": 1, "mean": [0.5], '
+    '"eigenvalues": [0.5], "eigenvectors": [[1.0]]}, "scheme": 4, "entries": '
+    '[{"subject": "subjA", "variant": "v1", "ra_avg": 0.9523809523809524, '
+    '"coords": [0.5], "source": "a.pgm"}, {"subject": "subjB", "variant": "v1", '
+    '"ra_avg": 0.7407407407407414, "coords": [-0.5], "source": "b.pgm"}]}\n'
+)
+
+
+def gallery_records(path):
+    """The header dict and the named arrays of a gallery file."""
+    with open(path, "rb") as fh:
+        raw, *arrays = [np.lib.format.read_array(fh) for _ in range(1 + len(GALLERY_ARRAYS))]
+    return json.loads(raw.tobytes()), dict(zip(GALLERY_ARRAYS, arrays))
+
+
+def edit_gallery(path, edit):
+    """Rewrite a gallery file after edit(header, arrays) has changed its
+    records in place; arrays are written in the dict's order, any layout
+    and dtype, objects pickled."""
+    header, arrays = gallery_records(path)
+    edit(header, arrays)
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, np.frombuffer(json.dumps(header).encode(), np.uint8))
+        for a in arrays.values():
+            np.lib.format.write_array(fh, a, allow_pickle=True)
+
+
+def record_ends(path):
+    """The byte offset at which each of a gallery file's records ends."""
+    ends = []
+    with open(path, "rb") as fh:
+        for _ in range(1 + len(GALLERY_ARRAYS)):
+            np.lib.format.read_array(fh)
+            ends.append(fh.tell())
+    return ends
+
+
+TWO_PIXEL_IMAGES = [
+    ImageVector(width=2, height=1, values=np.array(v))
+    for v in ([0.0, 0.0], [1.0, 0.2], [0.3, 1.0])
+]
+
+
+def save_two_pixel_gallery(path, k=2):
+    """Save a 3-entry gallery of 2-pixel images: eigenvectors are 2 x 2."""
+    model = fit_eigenmodel(TWO_PIXEL_IMAGES, k=k)
+    records = [
+        TrainingRecord(img, fan_landmarks(0.3 + 0.2 * i), f"s{i}", "v1", "")
+        for i, img in enumerate(TWO_PIXEL_IMAGES)
+    ]
+    save_gallery(build_gallery(model, records), model, path)
+    return model
+
+
+@pytest.fixture
+def saved_gallery(tmp_path, flip_fixture):
+    model, gallery, *_ = flip_fixture
+    path = tmp_path / "gallery.json"
+    save_gallery(gallery, model, path)
+    return path
+
+
+def assert_same_gallery(loaded, saved):
+    (g2, m2), (g1, m1) = loaded, saved
+    pairs = [(m1.mean, m2.mean), (m1.eigenvectors, m2.eigenvectors),
+             (m1.eigenvalues, m2.eigenvalues), (g1.coords, g2.coords),
+             (g1.ra_avg, g2.ra_avg)]
+    for a, b in pairs:
+        assert b.dtype == a.dtype == np.float64
+        assert b.flags.c_contiguous and b.tobytes() == a.tobytes()
+    assert (g2.scheme, g2.subjects, g2.variants, g2.sources) == (
+        g1.scheme, g1.subjects, g1.variants, g1.sources)
+    assert (m2.width, m2.height, m2.k, m2.requested_k) == (
+        m1.width, m1.height, m1.k, m1.requested_k)
+
+
 def test_gallery_round_trip_bit_identical_reports(tmp_path, flip_fixture):
     model, gallery, test_image, test_landmarks = flip_fixture
     path = tmp_path / "gallery.json"
@@ -331,115 +412,154 @@ def test_gallery_round_trip_bit_identical_reports(tmp_path, flip_fixture):
     r1 = recognize(gallery, model, test_image, test_landmarks, "dt_pca")
     r2 = recognize(gallery2, model2, test_image, test_landmarks, "dt_pca")
     assert json.dumps(r1.to_dict()) == json.dumps(r2.to_dict())
-    assert np.array_equal(gallery.coords, gallery2.coords)
-    assert np.array_equal(gallery.ra_avg, gallery2.ra_avg)
+    assert_same_gallery((gallery2, model2), (gallery, model))
 
 
-def test_load_gallery_truncated(tmp_path, flip_fixture):
-    model, gallery, *_ = flip_fixture
+def test_gallery_reload_keeps_requested_k(tmp_path):
+    # The format-1 reader set requested_k = k, so a reload lost the clamp.
     path = tmp_path / "gallery.json"
-    save_gallery(gallery, model, path)
-    path.write_text(path.read_text()[: path.stat().st_size // 2])
+    model = save_two_pixel_gallery(path, k=5)
+    assert model.clamped and (model.k, model.requested_k) == (2, 5)
+    _, model2 = load_gallery(path)
+    assert model2.clamped and (model2.k, model2.requested_k) == (2, 5)
+
+
+def test_save_gallery_bytes_do_not_depend_on_the_clock(tmp_path, monkeypatch, flip_fixture):
+    model, gallery, *_ = flip_fixture
+    real_localtime = time.localtime
+    files = []
+    for run, now in enumerate([1_700_000_000.0, 1_700_003_600.0]):
+        monkeypatch.setattr(time, "time", lambda now=now: now)
+        monkeypatch.setattr(time, "localtime", lambda t=None, now=now: real_localtime(now))
+        out = tmp_path / f"run{run}"
+        out.mkdir()
+        save_gallery(gallery, model, out / "gallery.json")
+        assert [f.name for f in out.iterdir()] == ["gallery.json"]
+        files.append((out / "gallery.json").read_bytes())
+    assert files[0] == files[1]
+
+
+def test_load_gallery_truncated(saved_gallery):
+    saved_gallery.write_bytes(saved_gallery.read_bytes()[: saved_gallery.stat().st_size // 2])
+    with pytest.raises(GalleryFormatError):
+        load_gallery(saved_gallery)
+
+
+@pytest.mark.parametrize(
+    "cut",
+    [lambda ends: ends[0] // 2, lambda ends: ends[2] - 4, lambda ends: ends[4]],
+    ids=["inside-header", "mid-eigenvectors", "before-ra_avg"],
+)
+def test_load_gallery_truncated_at_record(tmp_path, cut):
+    path = tmp_path / "gallery.json"
+    save_two_pixel_gallery(path)
+    data = path.read_bytes()
+    path.write_bytes(data[: cut(record_ends(path))])
     with pytest.raises(GalleryFormatError):
         load_gallery(path)
 
 
-def test_load_gallery_k_mismatch(tmp_path, flip_fixture):
-    model, gallery, *_ = flip_fixture
+def test_load_gallery_trailing_bytes(saved_gallery):
+    with open(saved_gallery, "ab") as fh:
+        fh.write(b"\0")
+    with pytest.raises(GalleryFormatError, match="trailing"):
+        load_gallery(saved_gallery)
+
+
+def test_load_gallery_refuses_object_record(saved_gallery, monkeypatch):
+    objects = np.array([[0.5], [-0.5]], dtype=object)
+    edit_gallery(saved_gallery, lambda h, a: a.update(coords=objects))
+    monkeypatch.setattr(pickle, "load", lambda *args, **kwargs: pytest.fail("unpickled"))
+    with pytest.raises(GalleryFormatError, match="allow_pickle"):
+        load_gallery(saved_gallery)
+
+
+def test_load_gallery_rejects_fortran_eigenvectors(tmp_path):
     path = tmp_path / "gallery.json"
-    save_gallery(gallery, model, path)
-    obj = json.loads(path.read_text())
-    obj["entries"][0]["coords"].append(0.0)
-    path.write_text(json.dumps(obj))
-    with pytest.raises(GalleryFormatError):
+    save_two_pixel_gallery(path)
+    edit_gallery(
+        path, lambda h, a: a.update(eigenvectors=np.asfortranarray(a["eigenvectors"]))
+    )
+    with pytest.raises(GalleryFormatError, match="C-ordered"):
         load_gallery(path)
 
 
-def test_load_gallery_bad_version(tmp_path, flip_fixture):
-    model, gallery, *_ = flip_fixture
+def test_load_gallery_rejects_float32_coords(saved_gallery):
+    edit_gallery(saved_gallery, lambda h, a: a.update(coords=a["coords"].astype(np.float32)))
+    with pytest.raises(GalleryFormatError, match="float64"):
+        load_gallery(saved_gallery)
+
+
+def test_load_gallery_rejects_v1_file(tmp_path):
     path = tmp_path / "gallery.json"
-    save_gallery(gallery, model, path)
-    obj = json.loads(path.read_text())
-    obj["format_version"] = 99
-    path.write_text(json.dumps(obj))
-    with pytest.raises(GalleryFormatError):
+    path.write_text(V1_GALLERY)
+    with pytest.raises(GalleryFormatError, match="dtpca train"):
         load_gallery(path)
 
 
-def test_load_gallery_ra_avg_out_of_range(tmp_path, flip_fixture):
-    model, gallery, *_ = flip_fixture
-    path = tmp_path / "gallery.json"
-    save_gallery(gallery, model, path)
-    obj = json.loads(path.read_text())
-    obj["entries"][0]["ra_avg"] = 1.5
-    path.write_text(json.dumps(obj))
+def test_load_gallery_k_mismatch(saved_gallery):
+    edit_gallery(
+        saved_gallery, lambda h, a: a.update(coords=np.hstack([a["coords"], [[0.0], [0.0]]]))
+    )
+    with pytest.raises(GalleryFormatError, match="shape"):
+        load_gallery(saved_gallery)
+
+
+def test_load_gallery_bad_version(saved_gallery):
+    edit_gallery(saved_gallery, lambda h, a: h.update(format_version=99))
     with pytest.raises(GalleryFormatError):
-        load_gallery(path)
+        load_gallery(saved_gallery)
+
+
+def test_load_gallery_ra_avg_out_of_range(saved_gallery):
+    edit_gallery(saved_gallery, lambda h, a: a["ra_avg"].__setitem__(0, 1.5))
+    with pytest.raises(GalleryFormatError):
+        load_gallery(saved_gallery)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("where", ["coords", "mean", "eigenvectors", "eigenvalues"])
-def test_load_gallery_rejects_non_finite(tmp_path, flip_fixture, where, value):
-    model, gallery, *_ = flip_fixture
-    path = tmp_path / "gallery.json"
-    save_gallery(gallery, model, path)
-    obj = json.loads(path.read_text())
-    if where == "coords":
-        obj["entries"][1]["coords"][0] = value
-    elif where == "eigenvectors":
-        obj["model"]["eigenvectors"][0][0] = value
-    else:
-        obj["model"][where][0] = value
-    path.write_text(json.dumps(obj))
+def test_load_gallery_rejects_non_finite(saved_gallery, where, value):
+    edit_gallery(saved_gallery, lambda h, a: a[where].flat.__setitem__(-1, value))
     with pytest.raises(GalleryFormatError, match="non-finite"):
-        load_gallery(path)
+        load_gallery(saved_gallery)
 
 
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda obj: obj.update(scheme=obj["scheme"] + 0.9),
-        lambda obj: obj.update(scheme=True),
-        lambda obj: obj["model"].update(k=obj["model"]["k"] + 0.7),
-        lambda obj: obj["model"].update(width=obj["model"]["width"] + 0.5),
-        lambda obj: obj["model"].update(height=float(obj["model"]["height"])),
-        lambda obj: obj["model"]["eigenvalues"].__setitem__(-1, -5.0),
-        lambda obj: obj["model"]["eigenvalues"].reverse(),
+        lambda h, a: h.update(scheme=h["scheme"] + 0.9),
+        lambda h, a: h.update(scheme=True),
+        lambda h, a: h.update(k=h["k"] + 0.7),
+        lambda h, a: h.update(width=h["width"] + 0.5),
+        lambda h, a: h.update(height=float(h["height"])),
+        lambda h, a: a["eigenvalues"].__setitem__(-1, -5.0),
+        lambda h, a: a.update(eigenvalues=a["eigenvalues"][::-1].copy()),
     ],
     ids=["scheme-float", "scheme-bool", "k-float", "width-float", "height-float",
          "negative-eigenvalue", "ascending-eigenvalues"],
 )
 def test_load_gallery_rejects_fields_fit_never_writes(tmp_path, edit):
     # int() used to truncate these fields, and any eigenvalues loaded.
-    images = [
-        ImageVector(width=2, height=1, values=np.array(v))
-        for v in ([0.0, 0.0], [1.0, 0.2], [0.3, 1.0])
-    ]
-    model = fit_eigenmodel(images, k=2)
+    path = tmp_path / "gallery.json"
+    model = save_two_pixel_gallery(path)
     assert model.eigenvalues[0] > model.eigenvalues[1] > 0
-    records = [
-        TrainingRecord(img, fan_landmarks(0.3 + 0.2 * i), f"s{i}", "v1", "")
-        for i, img in enumerate(images)
-    ]
-    path = tmp_path / "gallery.json"
-    save_gallery(build_gallery(model, records), model, path)
     load_gallery(path)
-    obj = json.loads(path.read_text())
-    edit(obj)
-    path.write_text(json.dumps(obj))
+    edit_gallery(path, edit)
     with pytest.raises(GalleryFormatError):
         load_gallery(path)
 
 
-def test_load_gallery_entries_not_a_list(tmp_path, flip_fixture):
-    model, gallery, *_ = flip_fixture
-    path = tmp_path / "gallery.json"
-    save_gallery(gallery, model, path)
-    obj = json.loads(path.read_text())
-    obj["entries"] = 5
-    path.write_text(json.dumps(obj))
+def test_load_gallery_entries_not_a_list(saved_gallery):
+    edit_gallery(saved_gallery, lambda h, a: h.update(subjects=5))
     with pytest.raises(GalleryFormatError):
-        load_gallery(path)
+        load_gallery(saved_gallery)
+
+
+def test_load_gallery_subjects_length_mismatch(saved_gallery):
+    edit_gallery(saved_gallery, lambda h, a: h.update(subjects=h["subjects"][:-1]))
+    with pytest.raises(GalleryFormatError):
+        load_gallery(saved_gallery)
 
 
 def test_load_gallery_missing_file(tmp_path):
