@@ -138,9 +138,12 @@ def cmd_recognize(args) -> int:
     landmarks = None
     if mode == "dt_pca":
         landmarks = dataset_io.load_landmarks(args.landmarks)
-    report = recognizer.recognize(
-        gallery, model, image, landmarks, mode=mode, dt_divisor=args.dt_divisor
-    )
+    try:
+        report = recognizer.recognize(
+            gallery, model, image, landmarks, mode=mode, dt_divisor=args.dt_divisor
+        )
+    except recognizer.LandmarkError as exc:
+        raise DatasetFormatError(f"{args.landmarks}: {exc}") from None
     sys.stdout.write(json.dumps(report.to_dict()) + "\n")
     return EXIT_OK
 

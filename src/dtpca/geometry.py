@@ -10,14 +10,16 @@ order, so each new point is outside the hull of its predecessors and sees a
 run of hull edges that touches the point inserted just before it; walking
 the hull ring both ways from that point finds the run.  The new point is
 fanned onto the run, and Lawson flips legalize only the edges opposite it
-(Guibas and Stolfi 1985).  Degenerate cocircular quads are resolved
-deterministically: the kept diagonal is the one whose lowest vertex index
-is smallest.  Every orientation and in-circle sign is exact: one error
-bound per mesh decides almost all of them, a per-call floating-point filter
-most of the rest, and the determinant alone on Fractions the remainder.
-Only the sweep runs per point in Python; the finished mesh goes to numpy
-once, for the tie-break trigger, the canonical triangle order and Heron's
-formula over all triangles (edge lengths from math.hypot).
+(Guibas and Stolfi 1985).  Every orientation and in-circle sign is exact:
+one error bound per mesh decides almost all of them, a per-call
+floating-point filter most of the rest, and the determinant alone on
+Fractions the remainder.  Lawson decides cocircular quads where it tests
+them, under Simulation of Simplicity (Edelsbrunner and Mücke 1990): the kept
+diagonal is the one whose lowest vertex index is smallest, so each
+cocircular polygon is fanned from its lowest index.  Only the sweep runs
+per point in Python; the finished mesh goes to numpy once, for the
+canonical triangle order and Heron's formula over all triangles (edge
+lengths from math.hypot).
 """
 
 from __future__ import annotations
@@ -234,21 +236,6 @@ def _static_bounds(xs, ys) -> tuple[float, float]:
     )
 
 
-def _tie_undecided(tri, twin, pts, bound) -> bool:
-    """Whether the in-circle bound of `_static_bounds` leaves undecided some
-    sign that the cocircular tie-break pass of `delaunay` would test, given
-    that pass's halfedge arrays `tri` and `twin`."""
-    opposite = tri.reshape(-1, 3)[:, [2, 0, 1]].ravel()  # corner facing each halfedge
-    a = np.flatnonzero(twin > np.arange(len(twin)))
-    b = twin[a]
-    quads = np.array([tri[a], tri[b], opposite[a], opposite[b]])
-    quads = quads[:, np.minimum(quads[2], quads[3]) < np.minimum(quads[0], quads[1])]
-    x, y = pts[:, 0], pts[:, 1]
-    coords = [v[q] for q in quads for v in (x, y)]  # ux, uy, vx, ..., dy
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow goes exact
-        return not (np.abs(_incircle_det(*coords)) > bound).all()
-
-
 def delaunay(landmarks) -> Triangulation:
     """Delaunay-triangulate a landmark set and compute its area descriptors.
 
@@ -305,35 +292,18 @@ def delaunay(landmarks) -> Triangulation:
         return _sign(_orient, _orient_det, ORIENT_BOUND, *coords)
 
     def incircle_sign(a, b, c, d):
-        # 1 when d is strictly inside the circumcircle of the counterclockwise
-        # triangle (a, b, c), 0 on it, -1 outside.
+        # 1 when d is inside the circumcircle of the counterclockwise
+        # triangle (a, b, c), -1 outside.  When d is exactly on it, the quad
+        # (a, d, b, c) is convex and either diagonal is Delaunay; the sign is
+        # then the one after each point's lifted height drops by
+        # eps**(index + 1), which favours the diagonal through the quad's
+        # lowest index: 1 (flip to c-d) when c or d holds it.  That
+        # perturbation changes no orientation and breaks every tie, so the
+        # sweep builds its unique Delaunay mesh: the fan from each cocircular
+        # polygon's lowest index, whatever the insertion order.
         coords = (xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[d], ys[d])
-        return _sign(_incircle, _incircle_det, INCIRCLE_BOUND, *coords)
-
-    # Within a triangle, the halfedge after e is e + 1 if e % 3 < 2 else
-    # e - 2, and the one before it e - 1 if e % 3 else e + 2.
-    def flip(a):
-        # Swap the diagonal shared by halfedge a in triangle (pr, pl, p0) and
-        # its twin b in (pl, pr, p1): they become (p1, pl, p0) and
-        # (p0, pr, p1).  Returns br, the halfedge pr -> p1, now opposite p0.
-        b = twin[a]
-        ar = a - 1 if a % 3 else a + 2
-        bl = b - 1 if b % 3 else b + 2
-        p0, p1 = tri[ar], tri[bl]
-        tri[a] = p1
-        tri[b] = p0
-        hbl, har = twin[bl], twin[ar]
-        twin[a], twin[b] = hbl, har
-        twin[ar], twin[bl] = bl, ar
-        if hbl < 0:  # hull edge p1 -> pl moved from slot bl to slot a
-            hull_he[p1] = a
-        else:
-            twin[hbl] = a
-        if har < 0:  # hull edge p0 -> pr moved from slot ar to slot b
-            hull_he[p0] = b
-        else:
-            twin[har] = b
-        return b + 1 if b % 3 < 2 else b - 2
+        sign = _sign(_incircle, _incircle_det, INCIRCLE_BOUND, *coords)
+        return sign or (1 if min(c, d) < min(a, b) else -1)
 
     chain: list[int] = []  # leading collinear run, in sorted order
     last = -1  # the point inserted last, once the mesh is 2D
@@ -392,50 +362,46 @@ def delaunay(landmarks) -> Triangulation:
 
         # Lawson flips (Guibas and Stolfi 1985).  Only edges opposite i can be
         # illegal, and a flip leaves two new ones to check, again opposite i.
+        # Within a triangle, the halfedge after e is e + 1 if e % 3 < 2 else
+        # e - 2, and the one before it e - 1 if e % 3 else e + 2.
         stack = list(range(t0, size, 3))
         while stack:
             a = stack.pop()
             b = twin[a]
             if b < 0:
                 continue
-            pr, pl, p1 = tri[a], tri[b], tri[b - 1 if b % 3 else b + 2]
+            bl = b - 1 if b % 3 else b + 2
+            pr, pl, p1 = tri[a], tri[b], tri[bl]
             det = _incircle_det(xs[pr], ys[pr], xs[pl], ys[pl], xi, yi, xs[p1], ys[p1])
             # Beyond the bound the sign is det's; within it, or nan, exact.
-            if det > incircle_bound or (
-                not det < -incircle_bound and incircle_sign(pr, pl, i, p1) > 0
+            if det < -incircle_bound or (
+                not det > incircle_bound and incircle_sign(pr, pl, i, p1) < 0
             ):
-                stack += flip(a), a
+                continue
+            # Flip: halfedge a in (pr, pl, i) and its twin b in (pl, pr, p1)
+            # become (p1, pl, i) and (i, pr, p1); the halfedges pr -> p1 and
+            # p1 -> pl, now opposite i, are checked next.
+            ar = a - 1 if a % 3 else a + 2
+            tri[a] = p1
+            tri[b] = i
+            hbl, har = twin[bl], twin[ar]
+            twin[a], twin[b] = hbl, har
+            twin[ar], twin[bl] = bl, ar
+            if hbl < 0:  # hull edge p1 -> pl moved from slot bl to slot a
+                hull_he[p1] = a
+            else:
+                twin[hbl] = a
+            if har < 0:  # hull edge i -> pr moved from slot ar to slot b
+                hull_he[i] = b
+            else:
+                twin[har] = b
+            stack += b + 1 if b % 3 < 2 else b - 2, a
 
     if not size:
         raise ValueError("all points are collinear")
 
-    # A cocircular quad has two Delaunay diagonals; keep the one whose lowest
-    # vertex index is smallest.  Each flip lowers the sum over edges of their
-    # lowest index, so the pass terminates.  Neither the mesh the flips left
-    # nor the scan order matters: the rule's only fixpoint is the fan from
-    # each cocircular polygon's lowest index, as a diagonal missing that
-    # index borders a fan triangle whose quad contains it.  Only an exact
-    # zero flips, so the pass runs only when the per-mesh bound leaves some
-    # candidate's in-circle sign undecided.
-    corners = np.fromiter(tri, np.intp, size)
-    if _tie_undecided(corners, np.fromiter(twin, np.intp, size), pts, incircle_bound):
-        flipped = True
-        while flipped:
-            flipped = False
-            for a in range(size):
-                b = twin[a]
-                if b < a:  # a hull edge, or its twin comes first
-                    continue
-                u, v = tri[a], tri[b]
-                c = tri[a - 1 if a % 3 else a + 2]
-                d = tri[b - 1 if b % 3 else b + 2]
-                if min(c, d) < min(u, v) and incircle_sign(u, v, c, d) == 0:
-                    flip(a)
-                    flipped = True
-        corners = np.fromiter(tri, np.intp, size)
-
     # Canonical order: each triangle's indices ascending, then the rows.
-    corners = np.sort(corners.reshape(-1, 3), axis=1)
+    corners = np.sort(np.fromiter(tri, np.intp, size).reshape(-1, 3), axis=1)
     corners = corners[np.lexsort(corners.T[::-1])]
     triangles = list(zip(*corners.T.tolist()))
 

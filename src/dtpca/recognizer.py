@@ -40,6 +40,11 @@ class GalleryFormatError(ValueError):
     """A gallery file exists but cannot be parsed as a valid gallery."""
 
 
+class LandmarkError(ValueError):
+    """The test landmarks do not match the gallery's scheme, or delaunay
+    rejects them."""
+
+
 @dataclass(frozen=True)
 class TrainingRecord:
     """One training image with its landmarks and identity labels."""
@@ -154,7 +159,9 @@ def recognize(
 
     In pca_only mode landmarks are ignored and D is reported as 0, so RV
     equals ED.  In dt_pca mode the test landmarks are required and their
-    scheme must equal the gallery's.  Ties go to the lowest row index.
+    scheme must equal the gallery's; landmarks that do not fit the gallery
+    or cannot be triangulated raise LandmarkError.  Ties go to the lowest
+    row index.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -170,11 +177,14 @@ def recognize(
         if gallery.scheme is None:
             raise ValueError("gallery was built without landmarks; use pca_only")
         if test_landmarks.scheme != gallery.scheme:
-            raise ValueError(
+            raise LandmarkError(
                 f"landmark scheme mismatch: test {test_landmarks.scheme} "
                 f"vs gallery {gallery.scheme}"
             )
-        tt_avg = geometry.delaunay(test_landmarks).average_relative_area
+        try:
+            tt_avg = geometry.delaunay(test_landmarks).average_relative_area
+        except ValueError as exc:
+            raise LandmarkError(str(exc)) from None
 
     coords = eigenface.project(model, test_image)
     if gallery.coords.shape[1:] != coords.shape:
@@ -307,6 +317,22 @@ def _decode(raw: np.ndarray, arrays: list[np.ndarray]) -> tuple[Gallery, EigenMo
     return gallery, model
 
 
+def _read_record(fh, name: str, file_size: int) -> np.ndarray:
+    """The .npy record at fh's position.  Its header is checked first:
+    read_array allocates the declared shape before it reads, so a record
+    that declares more bytes than the file has left is rejected here.
+    save_gallery's headers are short, so write_array gives them version 1.0."""
+    start = fh.tell()
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError(f"the {name} record is not a version 1.0 .npy record")
+    shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+    needed = math.prod(shape) * dtype.itemsize
+    if not dtype.hasobject and needed > file_size - fh.tell():
+        raise ValueError(f"truncated: the {name} record declares {needed} bytes")
+    fh.seek(start)
+    return np.lib.format.read_array(fh, allow_pickle=False)
+
+
 def load_gallery(path) -> tuple[Gallery, EigenModel]:
     """Load a gallery file; the reload reproduces matching bit-exactly.
 
@@ -321,9 +347,9 @@ def load_gallery(path) -> tuple[Gallery, EigenModel]:
             if fh.read(len(magic)) != magic:
                 raise ValueError(f"not a version 2 gallery file; {_RETRAIN}")
             fh.seek(0)
+            file_size = os.fstat(fh.fileno()).st_size
             raw, *arrays = (
-                np.lib.format.read_array(fh, allow_pickle=False)
-                for _ in range(1 + len(GALLERY_ARRAYS))
+                _read_record(fh, name, file_size) for name in ("header", *GALLERY_ARRAYS)
             )
             if fh.read(1):
                 raise ValueError("trailing bytes after the last record")

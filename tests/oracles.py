@@ -65,6 +65,25 @@ def exact_violations(points, triangles):
     ]
 
 
+def tie_rule_violations(points, triangles):
+    """Interior edges (u, v) whose quad is exactly cocircular but whose
+    kept diagonal misses the quad's lowest index.  The tie rule keeps the
+    diagonal through the lowest index, so a correct mesh gives []."""
+    q = exact_points(points)
+    opposite = {}
+    for t in triangles:
+        for k in range(3):
+            u, v = sorted((t[k], t[k - 1]))
+            opposite.setdefault((u, v), []).append(t[k - 2])
+    return [
+        (u, v)
+        for (u, v), corners in sorted(opposite.items())
+        if len(corners) == 2
+        and min(corners) < min(u, v)
+        and incircle_exact(q[u], q[v], q[corners[0]], q[corners[1]]) == 0
+    ]
+
+
 def all_collinear(points):
     """Every point on one line (or all equal), decided exactly."""
     q = exact_points(points)

@@ -12,7 +12,7 @@ from dtpca.dataset_io import (
 )
 from dtpca.evalharness import render_csv_report, render_text_report
 from test_evalharness import per_cell_table
-from test_recognizer import V1_GALLERY, edit_gallery, gallery_records
+from test_recognizer import V1_GALLERY, declare_huge_mean, edit_gallery, gallery_records
 
 
 def run_cli(capsys, *argv):
@@ -268,6 +268,25 @@ def test_recognize_non_finite_gallery_exits_2(capsys, synth_dataset, trained_gal
     assert err.startswith("error: data:") and "non-finite" in err
 
 
+def test_recognize_oversized_gallery_record_exits_2(
+    capsys, synth_dataset, trained_gallery, tmp_path
+):
+    # Used to exit 1 with a MemoryError traceback.
+    corrupt = tmp_path / "huge.json"
+    corrupt.write_bytes(trained_gallery.read_bytes())
+    declare_huge_mean(corrupt)
+    rc, out, err = run_cli(
+        capsys,
+        "recognize",
+        "--gallery", str(corrupt),
+        "--image", str(synth_dataset["root"] / "images" / "s03_v2.pgm"),
+        "--mode", "pca-only",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: data: {corrupt}: truncated")
+
+
 def test_recognize_v1_gallery_exits_2(capsys, synth_dataset, tmp_path):
     v1 = tmp_path / "gallery.json"
     v1.write_text(V1_GALLERY)
@@ -298,7 +317,26 @@ def test_recognize_overflowing_landmarks_exits_2(
     )
     assert rc == 2
     assert out == ""
-    assert err.startswith("error: data:") and "non-finite" in err
+    assert err.startswith(f"error: data: {path}: ") and "non-finite" in err
+
+
+def test_recognize_vanishing_landmark_areas_exits_2(
+    capsys, synth_dataset, trained_gallery, write_landmarks
+):
+    # Every exact area is below the smallest double.  Like triangulate and
+    # train, recognize names the file; it used to give the bare message.
+    path = scaled_landmarks(synth_dataset, write_landmarks, factor=1e-166)
+    rc, out, err = run_cli(
+        capsys,
+        "recognize",
+        "--gallery", str(trained_gallery),
+        "--image", str(synth_dataset["root"] / "images" / "s03_v2.pgm"),
+        "--landmarks", str(path),
+        "--mode", "dt-pca",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: data: {path}: all areas are zero\n"
 
 
 # --- evaluate ---------------------------------------------------------------------

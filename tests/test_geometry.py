@@ -286,15 +286,18 @@ def test_delaunay_rejects_nan():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    pts=st.lists(
-        st.tuples(st.integers(0, 40), st.integers(0, 40)),
-        min_size=3,
-        max_size=14,
-        unique=True,
+    pts=st.integers(2, 40).flatmap(
+        lambda side: st.lists(
+            st.tuples(st.integers(0, side), st.integers(0, side)),
+            min_size=3,
+            max_size=14,
+            unique=True,
+        )
     )
 )
 def test_delaunay_properties_on_grids(pts):
-    # Integer grids exercise exact collinear and cocircular degeneracies.
+    # Integer grids exercise exact collinear and cocircular degeneracies;
+    # small ones are dense with cocircular quads, which the tie rule decides.
     arr = np.array(pts, dtype=float)
     try:
         tri = delaunay(arr)
@@ -303,6 +306,7 @@ def test_delaunay_properties_on_grids(pts):
         assert oracles.all_collinear(arr)
         return
     assert empty_circumcircle_violations(arr, tri.triangles) == []
+    assert oracles.tie_rule_violations(arr, tri.triangles) == []
     assert {i for t in tri.triangles for i in t} == set(range(len(arr)))
     hull = oracles.convex_hull_indices(arr)
     hull_area = oracles.shoelace_area(arr[hull])
@@ -404,9 +408,10 @@ def test_static_bounds_cover_every_filter_bound(place, pts):
 
 def test_delaunay_mesh_bound_decides_the_synthetic_clouds(monkeypatch):
     # On the 135 paper-scale clouds of each scheme the per-mesh bounds
-    # decide every sign, so no kernel that computes a permanent runs.
+    # decide every sign, so neither the exact sign nor any kernel that
+    # computes a permanent runs, and no Fraction is made.
     calls = []
-    for name in ("_orient", "_incircle"):
+    for name in ("_sign", "_orient", "_incircle", "Fraction"):
         kernel = getattr(geometry, name)
         monkeypatch.setattr(geometry, name, lambda *c, k=kernel, n=name: calls.append(n) or k(*c))
     for scheme in (68, 79, 194):
@@ -461,6 +466,24 @@ def test_delaunay_synthetic_clouds_byte_identical():
                 digest.update(tri.average_relative_area.hex().encode())
     assert digest.hexdigest() == (
         "0ae3250b23d41a8d1243c887f9efb65edf443e6fbd7170ae3762803a8117e909"
+    )
+
+
+def test_delaunay_integer_synthetic_clouds_byte_identical():
+    # The seed-0 clouds rounded to integers, duplicates dropped: landmark
+    # files in pixel units, whose quads are often exactly cocircular.  Pins
+    # their meshes, so the tie rule at landmark scale, and their areas.
+    digest = hashlib.sha256()
+    for scheme in (68, 79, 194):
+        for si in range(15):
+            for vi in range(9):
+                pts = _distinct(np.round(synthetic._landmark_cloud(si, vi, scheme, 0)))
+                tri = delaunay(pts)
+                digest.update(repr(tri.triangles).encode())
+                digest.update(tri.areas.tobytes())
+                digest.update(tri.average_relative_area.hex().encode())
+    assert digest.hexdigest() == (
+        "38088f22a89f8d80fa02d5f9ed67abd615adc5bea71c56ae9c4863bdc461e5ab"
     )
 
 

@@ -459,6 +459,27 @@ def test_load_gallery_truncated_at_record(tmp_path, cut):
         load_gallery(path)
 
 
+def declare_huge_mean(path):
+    """Rewrite a gallery file so that its mean record's header declares
+    shape (10**13,), 80 TB, ahead of the record's real data."""
+    data = path.read_bytes()
+    header_end = record_ends(path)[0]
+    with open(path, "wb") as fh:
+        fh.write(data[:header_end])
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": (10**13,)}
+        )
+        fh.write(data[header_end:])
+
+
+def test_load_gallery_rejects_record_larger_than_the_file(saved_gallery):
+    # read_array allocates the declared shape before reading, so this used
+    # to escape as MemoryError.
+    declare_huge_mean(saved_gallery)
+    with pytest.raises(GalleryFormatError, match="truncated: the mean record"):
+        load_gallery(saved_gallery)
+
+
 def test_load_gallery_trailing_bytes(saved_gallery):
     with open(saved_gallery, "ab") as fh:
         fh.write(b"\0")
