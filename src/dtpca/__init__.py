@@ -18,10 +18,8 @@ from .dataset_io import (
 from .eigenface import (
     EigenModel,
     ZeroVarianceError,
-    eigen_distance,
     fit_eigenmodel,
     project,
-    reconstruct,
 )
 from .evalharness import (
     AccuracyRow,
@@ -37,7 +35,6 @@ from .geometry import (
     Triangulation,
     average_relative_area,
     delaunay,
-    empty_circumcircle_violations,
     relative_areas,
     triangle_area,
 )

@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import dataset_io, evalharness, geometry, recognizer
 from .dataset_io import DatasetFormatError
-from .eigenface import ZeroVarianceError
-from .recognizer import GalleryFormatError, atomic_write_text
+from .eigenface import ImageSizeError, ZeroVarianceError
+from .recognizer import atomic_write_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -144,6 +144,8 @@ def cmd_recognize(args) -> int:
         )
     except recognizer.LandmarkError as exc:
         raise DatasetFormatError(f"{args.landmarks}: {exc}") from None
+    except ImageSizeError as exc:
+        raise DatasetFormatError(f"{args.image}: {exc}") from None
     sys.stdout.write(json.dumps(report.to_dict()) + "\n")
     return EXIT_OK
 
@@ -181,9 +183,6 @@ def main(argv=None) -> int:
     except ZeroVarianceError as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DatasetFormatError, GalleryFormatError) as exc:
-        print(f"error: data: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (OSError, ValueError) as exc:
         print(f"error: data: {exc}", file=sys.stderr)
         return EXIT_DATA

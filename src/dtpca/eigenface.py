@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset_io import ImageVector
+
 # Gram eigenvalues below RANK_RTOL * largest are treated as rank deficiency.
 RANK_RTOL = 1e-10
 
@@ -22,8 +24,8 @@ class ZeroVarianceError(ValueError):
     """The training images are all identical; no eigenspace exists."""
 
 
-# Coordinates of an image in eigenspace: a length-k float vector.
-EigenCoords = np.ndarray
+class ImageSizeError(ValueError):
+    """An image's width and height differ from the model's."""
 
 
 @dataclass(frozen=True)
@@ -48,26 +50,7 @@ class EigenModel:
         return self.k < self.requested_k
 
 
-def _as_rows(images) -> np.ndarray:
-    rows = [np.asarray(getattr(img, "values", img), dtype=float) for img in images]
-    if not rows:
-        raise ValueError("empty image set")
-    d = len(rows[0])
-    if any(len(r) != d for r in rows):
-        raise ValueError("images have mismatched dimensions")
-    return np.vstack(rows)
-
-
-def _dims(images, d: int) -> tuple[int, int]:
-    """The width and height all images share; a plain d-vector is d x 1."""
-    dims = {(getattr(img, "width", d), getattr(img, "height", 1)) for img in images}
-    if len(dims) != 1:
-        raise ValueError("images have mismatched dimensions")
-    w, h = dims.pop()
-    return int(w), int(h)
-
-
-def fit_eigenmodel(images, k: int) -> EigenModel:
+def fit_eigenmodel(images: list[ImageVector], k: int) -> EigenModel:
     """Fit the eigenspace of a training set, keeping min(k, rank) components.
 
     Raises ZeroVarianceError when every training image is identical, and
@@ -77,11 +60,11 @@ def fit_eigenmodel(images, k: int) -> EigenModel:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(images) < 2:
         raise ValueError("need at least 2 training images")
-    # The fit's one n x d matrix: _as_rows stacks a fresh copy, which is
+    if len({(img.width, img.height) for img in images}) != 1:
+        raise ValueError("images have mismatched dimensions")
+    # The fit's one n x d matrix: np.vstack makes a fresh copy, which is
     # measured and centered in place; nothing else is n x d.
-    rows = _as_rows(images)
-    n, d = rows.shape
-    width, height = _dims(images, d)
+    rows = np.vstack([np.asarray(img.values, dtype=float) for img in images])
     # Identical images leave only mean-rounding residue after centering;
     # compare the centered energy against the raw pixel energy.
     raw_energy = sum(float(r @ r) for r in rows)
@@ -114,37 +97,22 @@ def fit_eigenmodel(images, k: int) -> EigenModel:
             row *= -1.0
 
     return EigenModel(
-        width=width,
-        height=height,
+        width=images[0].width,
+        height=images[0].height,
         mean=mean,
         eigenvectors=eigvecs,
-        eigenvalues=lam[:kept] / (n - 1),
+        eigenvalues=lam[:kept] / (len(images) - 1),
         k=kept,
         requested_k=k,
     )
 
 
-def project(model: EigenModel, image) -> EigenCoords:
-    """Coordinates of an image in the model's eigenspace."""
-    values = np.asarray(getattr(image, "values", image), dtype=float)
-    if len(values) != len(model.mean):
-        raise ValueError("image dimension does not match model")
-    return model.eigenvectors @ (values - model.mean)
-
-
-def reconstruct(model: EigenModel, coords: EigenCoords) -> np.ndarray:
-    """Image vector rebuilt from eigenspace coordinates (mean + sum)."""
-    coords = np.asarray(coords, dtype=float)
-    if len(coords) != model.k:
-        raise ValueError(f"expected {model.k} coordinates, got {len(coords)}")
-    return model.mean + coords @ model.eigenvectors
-
-
-def eigen_distance(a: EigenCoords, b: EigenCoords) -> float:
-    """Euclidean distance between two eigenspace coordinate vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"coordinate length mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
+def project(model: EigenModel, image: ImageVector) -> np.ndarray:
+    """Coordinates of an image in the model's eigenspace: a length-k vector.
+    Raises ImageSizeError unless the image has the model's width and height."""
+    if (image.width, image.height) != (model.width, model.height):
+        raise ImageSizeError(
+            f"image is {image.width}x{image.height}, "
+            f"expected {model.width}x{model.height}"
+        )
+    return model.eigenvectors @ (np.asarray(image.values, dtype=float) - model.mean)

@@ -166,19 +166,13 @@ def _incircle(ax, ay, bx, by, cx, cy, px, py):
     return _incircle_det(ax, ay, bx, by, cx, cy, px, py), permanent
 
 
-def _exact(kernel, det, bound, *coords):
-    """A kernel's determinant at float coordinates with its exact sign: the
-    double result when it passes the filter, else `det`, the kernel's
+def _sign(kernel, det, bound, *coords) -> int:
+    """Exact sign of a kernel's determinant at float coordinates: the double
+    result's when it passes the filter, else that of `det`, the kernel's
     determinant alone, on Fractions."""
     value, permanent = kernel(*coords)
     if not abs(value) > bound * permanent + TINY:
         value = det(*map(Fraction, coords))
-    return value
-
-
-def _sign(kernel, det, bound, *coords) -> int:
-    """Exact sign of a kernel's determinant at float coordinates."""
-    value = _exact(kernel, det, bound, *coords)
     return (value > 0) - (value < 0)
 
 
@@ -191,34 +185,6 @@ def orientation(a, b, c) -> int:
     )
 
 
-def empty_circumcircle_violations(points, triangles):
-    """All (triangle_index, point_index) pairs with the point strictly
-    inside that triangle's circumcircle, decided exactly; "on" never counts.
-
-    The kernels run on broadcast arrays; only the cells the float filter
-    cannot decide are recomputed with Fractions.
-    """
-    pts = np.asarray(points, dtype=float)
-    tris = np.asarray(triangles, dtype=int)
-    if tris.size == 0:
-        return []
-    corners = [pts[tris[:, k], axis][:, None] for k in range(3) for axis in (0, 1)]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow goes exact
-        odet, operm = _orient(*corners)
-        det, perm = _incircle(*corners, pts[:, 0], pts[:, 1])
-        inside = np.sign(det) * np.sign(odet) > 0
-        unsure = ~(np.abs(det) > INCIRCLE_BOUND * perm + TINY)
-        unsure |= ~(np.abs(odet) > ORIENT_BOUND * operm + TINY)
-    # A corner lies on its own circumcircle, never inside it.
-    unsure[np.arange(len(tris))[:, None], tris] = False
-    for t, p in np.argwhere(unsure):
-        tri = [float(v[t, 0]) for v in corners]
-        side = _sign(_orient, _orient_det, ORIENT_BOUND, *tri)
-        coords = *tri, *pts[p].tolist()
-        inside[t, p] = side * _sign(_incircle, _incircle_det, INCIRCLE_BOUND, *coords) > 0
-    return [(int(t), int(p)) for t, p in np.argwhere(inside)]
-
-
 def _static_bounds(xs, ys) -> tuple[float, float]:
     """Orientation and in-circle error bounds for any points of xs, ys
     (Devillers and Pion, "Efficient exact geometric predicates for Delaunay
@@ -226,7 +192,7 @@ def _static_bounds(xs, ys) -> tuple[float, float]:
     coordinate difference is at most span, and a permanent at most 2 span**2
     (orientation) or 12 span**4 (in-circle), give or take a few roundings
     that the 1 + 2**-40 factor covers.  So a determinant beyond a bound also
-    passes the filter of `_exact`.  An overflow makes a bound inf; float
+    passes the filter of `_sign`.  An overflow makes a bound inf; float
     `**` would raise OverflowError instead."""
     span = max(max(xs) - min(xs), max(ys) - min(ys))
     sq = span * span
@@ -407,16 +373,16 @@ def delaunay(landmarks) -> Triangulation:
 
     # Heron's formula from edge lengths, in math.hypot's rounding (np.hypot
     # differs from it in the last bit on about 0.1 % of pairs).  Where Heron
-    # rounds a sliver to 0, take half the orientation determinant, which is
-    # exactly non-zero on every mesh triangle; only an area below the
-    # smallest double stays 0.
+    # rounds a sliver to 0, take half the orientation determinant on
+    # Fractions, which is non-zero on every mesh triangle, rounded once;
+    # only an area below the smallest double stays 0.
     x, y = pts[:, 0][corners.T], pts[:, 1][corners.T]  # row k: corner k of each triangle
     dx, dy = (x - x[[1, 2, 0]]).ravel().tolist(), (y - y[[1, 2, 0]]).ravel().tolist()
     areas = triangle_area(*np.fromiter(map(math.hypot, dx, dy), float, len(dx)).reshape(3, -1))
     for t in np.flatnonzero(areas == 0).tolist():
         a, b, c = triangles[t]
         coords = (xs[a], ys[a], xs[b], ys[b], xs[c], ys[c])
-        areas[t] = float(abs(_exact(_orient, _orient_det, ORIENT_BOUND, *coords)) / 2)
+        areas[t] = float(abs(_orient_det(*map(Fraction, coords))) / 2)
     ras = relative_areas(areas)
     return Triangulation(
         points=pts,

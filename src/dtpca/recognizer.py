@@ -190,8 +190,8 @@ def recognize(
     if gallery.coords.shape[1:] != coords.shape:
         raise ValueError(f"coordinate length mismatch: {gallery.coords.shape} vs {coords.shape}")
     diff = coords - gallery.coords
-    # np.vecdot reproduces eigen_distance's np.linalg.norm bit for bit;
-    # norm(axis=1) and einsum round some rows differently.
+    # np.vecdot reproduces np.linalg.norm of each row's difference bit for
+    # bit; norm(axis=1) and einsum round some rows differently.
     ed = np.sqrt(np.vecdot(diff, diff))
     if mode == "pca_only":
         d = np.zeros_like(ed)

@@ -1,8 +1,6 @@
-import numpy as np
 import pytest
 
 from dtpca import synthetic
-from dtpca.dataset_io import ImageVector
 
 
 @pytest.fixture(scope="session")
@@ -51,9 +49,3 @@ def write_landmarks(tmp_path):
 
     return _write
 
-
-def image_from_values(values, width=None, height=None):
-    values = np.asarray(values, dtype=float)
-    if width is None:
-        width, height = len(values), 1
-    return ImageVector(width=width, height=height, values=values)

@@ -4,9 +4,10 @@ Everything here is deliberately brute force and shares no code with the
 package: exact predicates in integer arithmetic, triangulations by
 empty-circumcircle enumeration, hulls by monotone chain, areas by the
 shoelace formula, and eigenspaces by a direct pixel-space covariance
-eigendecomposition.  The one exception is `in_circumcircle`: no pipeline
-stage calls it, so it lives here, and it classifies a point with the
-package's own exact kernels, so its tests check those kernels.
+eigendecomposition.  The exceptions are helpers no pipeline stage calls,
+so they live here: `in_circumcircle` classifies a point with the package's
+own exact kernels, so its tests check those kernels, and `reconstruct` and
+`eigen_distance` act on a fitted model's coordinates.
 """
 
 import itertools
@@ -55,14 +56,46 @@ def strictly_inside(a, b, c, p):
 
 def exact_violations(points, triangles):
     """(triangle_index, point_index) pairs with the point strictly inside
-    the triangle's circumcircle, decided in exact arithmetic."""
+    the triangle's circumcircle, decided in exact arithmetic.
+
+    A numpy pre-pass evaluates every (triangle, point) cell's in-circle
+    determinant and its permanent in doubles.  Its sign is trusted only
+    where |det| exceeds 1e-6 times the permanent, far above the rounding
+    error of about 1e-15 times it, plus a floor that covers underflow: no
+    computed factor exceeds 2 span**2, so underflow shifts det by less than
+    2**-1070 (1 + span**2).  Every other cell, nan and inf included, goes to
+    `strictly_inside` on integers.  Triangle orientations are exact.
+    """
     q = exact_points(points)
-    return [
-        (t, m)
-        for t, (i, j, k) in enumerate(triangles)
-        for m in range(len(q))
-        if m not in (i, j, k) and strictly_inside(q[i], q[j], q[k], q[m])
-    ]
+    pts = np.asarray(points, dtype=float)
+    tris = np.asarray(triangles, dtype=int).reshape(-1, 3)
+    side = np.array([np.sign(orient_raw(q[i], q[j], q[k])) for i, j, k in tris], dtype=float)
+    span = float(np.ptp(pts, axis=0).max())
+    # (triangle, point) arrays of corner-minus-point differences.
+    adx, ady, bdx, bdy, cdx, cdy = (
+        pts[tris[:, k], axis][:, None] - pts[:, axis] for k in range(3) for axis in (0, 1)
+    )
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        det = (
+            (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+            + (bdx * bdx + bdy * bdy) * (cdx * ady - adx * cdy)
+            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
+        )
+        adx, ady, bdx, bdy, cdx, cdy = map(np.abs, (adx, ady, bdx, bdy, cdx, cdy))
+        permanent = (
+            (adx * adx + ady * ady) * (bdx * cdy + cdx * bdy)
+            + (bdx * bdx + bdy * bdy) * (cdx * ady + adx * cdy)
+            + (cdx * cdx + cdy * cdy) * (adx * bdy + bdx * ady)
+        )
+        sure = np.abs(det) > 1e-6 * permanent + 2.0**-1060 * (1 + span * span)
+    inside = sure & (np.sign(det) * side[:, None] > 0)
+    corners = np.arange(len(tris))[:, None], tris
+    sure[corners] = True  # a corner is on its own circumcircle
+    inside[corners] = False
+    for t, m in np.argwhere(~sure).tolist():
+        i, j, k = tris[t].tolist()
+        inside[t, m] = strictly_inside(q[i], q[j], q[k], q[m])
+    return [tuple(cell) for cell in np.argwhere(inside).tolist()]
 
 
 def tie_rule_violations(points, triangles):
@@ -228,3 +261,20 @@ def center_images(images, mean) -> np.ndarray:
 def project_oracle(mean, eigvec_rows, image):
     values = np.asarray(getattr(image, "values", image), dtype=float)
     return eigvec_rows @ (values - mean)
+
+
+def reconstruct(model, coords) -> np.ndarray:
+    """Image vector rebuilt from eigenspace coordinates (mean + sum)."""
+    coords = np.asarray(coords, dtype=float)
+    if len(coords) != model.k:
+        raise ValueError(f"expected {model.k} coordinates, got {len(coords)}")
+    return model.mean + coords @ model.eigenvectors
+
+
+def eigen_distance(a, b) -> float:
+    """Euclidean distance between two eigenspace coordinate vectors."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"coordinate length mismatch: {a.shape} vs {b.shape}")
+    return float(np.linalg.norm(a - b))

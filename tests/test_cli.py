@@ -205,6 +205,24 @@ def test_recognize_self_match(capsys, synth_dataset, trained_gallery):
     assert report["dt_divisor"] == 0.001
 
 
+@pytest.mark.parametrize("width, height", [(12, 8), (8, 10)])
+def test_recognize_wrong_image_size_names_the_image(
+    capsys, trained_gallery, write_pgm, width, height
+):
+    # The gallery's images are 10x8; an 8x10 one has their pixel count.
+    path = write_pgm("odd.pgm", width, height, [128] * (width * height))
+    rc, out, err = run_cli(
+        capsys,
+        "recognize",
+        "--gallery", str(trained_gallery),
+        "--image", str(path),
+        "--mode", "pca-only",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: data: {path}: image is {width}x{height}, expected 10x8\n"
+
+
 def test_recognize_dt_pca_requires_landmarks(capsys, synth_dataset, trained_gallery):
     root = synth_dataset["root"]
     rc, out, err = run_cli(

@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from dtpca.eigenface import (
-    ZeroVarianceError,
-    eigen_distance,
-    fit_eigenmodel,
-    project,
-    reconstruct,
-)
+from dtpca.dataset_io import ImageVector
+from dtpca.eigenface import ImageSizeError, ZeroVarianceError, fit_eigenmodel, project
 from dtpca.recognizer import (
     GalleryFormatError,
     TrainingRecord,
@@ -22,7 +17,18 @@ from dtpca.recognizer import (
 )
 from test_recognizer import edit_gallery, fan_landmarks
 
-TOY_IMAGES = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+
+def image(values, width=None, height=1):
+    """A width x height ImageVector; a row of len(values) pixels by default."""
+    return ImageVector(width or len(values), height, np.asarray(values))
+
+
+def random_images(seed, n, d):
+    rng = np.random.default_rng(seed)
+    return [image(rng.uniform(size=d)) for _ in range(n)]
+
+
+TOY_IMAGES = [image([0.0, 0.0]), image([1.0, 0.0]), image([0.0, 1.0])]
 
 
 def toy_model(k=2):
@@ -94,19 +100,19 @@ def test_toy_model_eigenvalues_and_vectors():
 
 def test_toy_model_projection_of_origin():
     m = toy_model()
-    coords = project(m, np.array([0.0, 0.0]))
+    coords = project(m, image([0.0, 0.0]))
     assert coords[0] == pytest.approx(0.0, abs=1e-12)
     assert coords[1] == pytest.approx(-math.sqrt(2) / 3, abs=1e-12)
 
 
 def test_zero_variance_identical_images():
     with pytest.raises(ZeroVarianceError):
-        fit_eigenmodel([np.full(4, 0.1) for _ in range(5)], k=3)
+        fit_eigenmodel([image(np.full(4, 0.1)) for _ in range(5)], k=3)
 
 
 def test_fit_requires_two_images():
     with pytest.raises(ValueError):
-        fit_eigenmodel([np.zeros(4)], k=1)
+        fit_eigenmodel([image(np.zeros(4))], k=1)
 
 
 def test_fit_rejects_bad_k():
@@ -115,23 +121,21 @@ def test_fit_rejects_bad_k():
 
 
 def test_fit_dim_mismatch():
-    with pytest.raises(ValueError):
-        fit_eigenmodel([np.zeros(2), np.zeros(3)], k=1)
+    # A 1x2 image has the pixel count of a 2x1 one, but not its size.
+    for other in (image(np.zeros(3)), image(np.zeros(2), 1, 2)):
+        with pytest.raises(ValueError, match="mismatched dimensions"):
+            fit_eigenmodel([image(np.zeros(2)), other], k=1)
 
 
 def test_k_clamped_to_rank():
-    rng = np.random.default_rng(11)
-    imgs = [rng.uniform(size=16) for _ in range(10)]
-    m = fit_eigenmodel(imgs, k=25)
+    m = fit_eigenmodel(random_images(11, 10, 16), k=25)
     assert m.k == 9  # rank <= n - 1
     assert m.requested_k == 25
     assert m.clamped
 
 
 def test_rank_bound_nonzero_eigenvalues():
-    rng = np.random.default_rng(12)
-    imgs = [rng.uniform(size=6) for _ in range(4)]
-    m = fit_eigenmodel(imgs, k=10)
+    m = fit_eigenmodel(random_images(12, 4, 6), k=10)
     assert m.k <= 3
     assert np.all(m.eigenvalues > 0)
     assert np.all(np.diff(m.eigenvalues) <= 0)
@@ -141,9 +145,8 @@ def test_fit_peak_memory_below_two_image_matrices():
     # The stacked n x d rows are the fit's one large buffer; the k x d
     # eigenvectors (k < n) come on top, and their norm needs no second
     # k x d array (it measured 1.56 n*d*8 with one, 1.36 without).
-    rng = np.random.default_rng(40)
     n, d = 40, 64 * 48
-    imgs = [rng.uniform(size=d) for _ in range(n)]
+    imgs = random_images(40, n, d)
     tracemalloc.start()
     try:
         fit_eigenmodel(imgs, k=10)
@@ -155,8 +158,7 @@ def test_fit_peak_memory_below_two_image_matrices():
 
 def test_fit_centers_like_the_oracle_bit_for_bit():
     # Centering in place gives the bits of a separate `rows - mean`.
-    rng = np.random.default_rng(42)
-    imgs = [rng.uniform(size=30) for _ in range(9)]
+    imgs = random_images(42, 9, 30)
     m = fit_eigenmodel(imgs, k=8)
     assert np.array_equal(m.mean, oracles.mean_image(imgs))
     centered = oracles.center_images(imgs, m.mean)
@@ -168,38 +170,47 @@ def test_fit_centers_like_the_oracle_bit_for_bit():
 def test_fit_leaves_inputs_unmodified(as_matrix):
     rng = np.random.default_rng(41)
     matrix = rng.uniform(size=(8, 12))
-    images = matrix.copy() if as_matrix else [row.copy() for row in matrix]
+    # As a matrix, the images' values are row views of one buffer.
+    rows = matrix.copy() if as_matrix else [row.copy() for row in matrix]
+    images = [image(row) for row in rows]
     fit_eigenmodel(images, k=5)
-    assert np.array_equal(np.vstack(images), matrix)
+    assert np.array_equal(np.vstack([img.values for img in images]), matrix)
 
 
 # --- projection / reconstruction -----------------------------------------------
 
 def test_project_mean_is_origin():
     m = toy_model()
-    assert np.allclose(project(m, m.mean), 0.0, atol=1e-12)
+    assert np.allclose(project(m, image(m.mean)), 0.0, atol=1e-12)
 
 
 def test_project_dim_mismatch():
-    with pytest.raises(ValueError):
-        project(toy_model(), np.zeros(3))
+    with pytest.raises(ImageSizeError, match="image is 3x1, expected 2x1"):
+        project(toy_model(), image(np.zeros(3)))
+
+
+def test_project_rejects_transposed_image():
+    # Same pixel count, other shape: a length check would let it through.
+    m = fit_eigenmodel([image(v, 3, 2) for v in np.eye(6)[:4]], k=2)
+    with pytest.raises(ImageSizeError, match="image is 2x3, expected 3x2"):
+        project(m, image(np.zeros(6), 2, 3))
 
 
 def test_reconstruct_zero_coords_gives_mean():
     m = toy_model()
-    assert np.allclose(reconstruct(m, np.zeros(m.k)), m.mean)
+    assert np.allclose(oracles.reconstruct(m, np.zeros(m.k)), m.mean)
 
 
 def test_reconstruct_bad_length():
     with pytest.raises(ValueError):
-        reconstruct(toy_model(), np.zeros(5))
+        oracles.reconstruct(toy_model(), np.zeros(5))
 
 
 def test_full_rank_round_trip():
     m = toy_model()
     for img in TOY_IMAGES:
-        back = reconstruct(m, project(m, img))
-        assert np.sqrt(np.mean((back - img) ** 2)) < 1e-6
+        back = oracles.reconstruct(m, project(m, img))
+        assert np.sqrt(np.mean((back - img.values) ** 2)) < 1e-6
 
 
 def test_k1_error_at_least_k2_error():
@@ -208,7 +219,7 @@ def test_k1_error_at_least_k2_error():
 
     def mse(m):
         return np.mean(
-            [(reconstruct(m, project(m, img)) - img) ** 2 for img in TOY_IMAGES]
+            [(oracles.reconstruct(m, project(m, i)) - i.values) ** 2 for i in TOY_IMAGES]
         )
 
     assert mse(m1) >= mse(m2) - 1e-12
@@ -218,16 +229,16 @@ def test_k1_error_at_least_k2_error():
 
 def test_eigen_distance_identity():
     a = np.array([1.0, 2.0])
-    assert eigen_distance(a, a) == 0.0
+    assert oracles.eigen_distance(a, a) == 0.0
 
 
 def test_eigen_distance_345():
-    assert eigen_distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
+    assert oracles.eigen_distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
 
 
 def test_eigen_distance_length_mismatch():
     with pytest.raises(ValueError):
-        eigen_distance(np.zeros(2), np.zeros(3))
+        oracles.eigen_distance(np.zeros(2), np.zeros(3))
 
 
 @given(
@@ -237,8 +248,8 @@ def test_eigen_distance_length_mismatch():
 def test_eigen_distance_symmetric(a, data):
     b = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=len(a), max_size=len(a)))
     x, y = np.array(a), np.array(b)
-    assert eigen_distance(x, y) == eigen_distance(y, x)
-    assert eigen_distance(x, y) >= 0
+    assert oracles.eigen_distance(x, y) == oracles.eigen_distance(y, x)
+    assert oracles.eigen_distance(x, y) >= 0
 
 
 # --- snapshot-method equivalence and model invariants ----------------------------
@@ -246,7 +257,7 @@ def test_eigen_distance_symmetric(a, data):
 def test_snapshot_matches_covariance_oracle():
     rng = np.random.default_rng(2718)
     for trial in range(5):
-        imgs = [rng.uniform(size=16) for _ in range(10)]
+        imgs = [image(rng.uniform(size=16)) for _ in range(10)]
         model = fit_eigenmodel(imgs, k=25)
         mean_o, lam_o, vecs_o = oracles.covariance_eigenspace(imgs)
         assert model.k == len(lam_o)
@@ -255,28 +266,25 @@ def test_snapshot_matches_covariance_oracle():
         coords_o = [oracles.project_oracle(mean_o, vecs_o, i) for i in imgs]
         for i in range(len(imgs)):
             for j in range(i + 1, len(imgs)):
-                dm = eigen_distance(coords_m[i], coords_m[j])
+                dm = oracles.eigen_distance(coords_m[i], coords_m[j])
                 do = np.linalg.norm(coords_o[i] - coords_o[j])
                 assert dm == pytest.approx(do, rel=1e-6)
 
 
 def test_orthonormality_residuals():
-    rng = np.random.default_rng(31415)
-    imgs = [rng.uniform(size=25) for _ in range(8)]
-    m = fit_eigenmodel(imgs, k=25)
+    m = fit_eigenmodel(random_images(31415, 8, 25), k=25)
     gram = m.eigenvectors @ m.eigenvectors.T
     assert np.abs(gram - np.eye(m.k)).max() <= 1e-8
 
 
 def test_monotone_reconstruction_error():
-    rng = np.random.default_rng(999)
-    imgs = [rng.uniform(size=16) for _ in range(10)]
+    imgs = random_images(999, 10, 16)
     full = fit_eigenmodel(imgs, k=25)
     errors = []
     for k in range(1, full.k + 1):
         m = fit_eigenmodel(imgs, k=k)
         errors.append(
-            np.mean([(reconstruct(m, project(m, i)) - i) ** 2 for i in imgs])
+            np.mean([(oracles.reconstruct(m, project(m, i)) - i.values) ** 2 for i in imgs])
         )
     for earlier, later in zip(errors, errors[1:]):
         assert later <= earlier + 1e-12
@@ -285,10 +293,9 @@ def test_monotone_reconstruction_error():
 def test_sign_convention_equivalence():
     # Fitting on images reflected through the mean builds the model from
     # negated centered rows; pairwise eigenspace distances must not move.
-    rng = np.random.default_rng(4)
-    imgs = [rng.uniform(size=12) for _ in range(6)]
-    mean = np.vstack(imgs).mean(axis=0)
-    reflected = [2 * mean - img for img in imgs]
+    imgs = random_images(4, 6, 12)
+    mean = np.vstack([img.values for img in imgs]).mean(axis=0)
+    reflected = [image(2 * mean - img.values) for img in imgs]
     m1 = fit_eigenmodel(imgs, k=5)
     m2 = fit_eigenmodel(reflected, k=5)
     c1 = [project(m1, i) for i in imgs]
@@ -296,7 +303,7 @@ def test_sign_convention_equivalence():
     for i in range(len(imgs)):
         for j in range(i + 1, len(imgs)):
             assert abs(
-                eigen_distance(c1[i], c1[j]) - eigen_distance(c2[i], c2[j])
+                oracles.eigen_distance(c1[i], c1[j]) - oracles.eigen_distance(c2[i], c2[j])
             ) <= 1e-9
 
 
@@ -312,8 +319,7 @@ def save_model_gallery(path, model, images):
 
 
 def test_model_gallery_round_trip_exact(tmp_path):
-    rng = np.random.default_rng(8)
-    imgs = [rng.uniform(size=9) for _ in range(5)]
+    imgs = random_images(8, 5, 9)
     m = fit_eigenmodel(imgs, k=4)
     save_model_gallery(tmp_path / "gallery.json", m, imgs)
     _, back = load_gallery(tmp_path / "gallery.json")

@@ -13,7 +13,6 @@ from dtpca import geometry, synthetic
 from dtpca.geometry import (
     average_relative_area,
     delaunay,
-    empty_circumcircle_violations,
     relative_areas,
     triangle_area,
 )
@@ -265,7 +264,7 @@ def test_delaunay_many_cocircular_points_valid():
     angles = 2 * np.pi * np.arange(8) / 8
     pts = np.column_stack([np.cos(angles), np.sin(angles)])
     tri = delaunay(pts)
-    assert empty_circumcircle_violations(pts, tri.triangles) == []
+    assert oracles.exact_violations(pts, tri.triangles) == []
     assert len(tri.triangles) == 6
     assert {i for t in tri.triangles for i in t} == set(range(8))
 
@@ -305,7 +304,7 @@ def test_delaunay_properties_on_grids(pts):
         # Only an all-collinear set may be rejected.
         assert oracles.all_collinear(arr)
         return
-    assert empty_circumcircle_violations(arr, tri.triangles) == []
+    assert oracles.exact_violations(arr, tri.triangles) == []
     assert oracles.tie_rule_violations(arr, tri.triangles) == []
     assert {i for t in tri.triangles for i in t} == set(range(len(arr)))
     hull = oracles.convex_hull_indices(arr)
@@ -421,13 +420,47 @@ def test_delaunay_mesh_bound_decides_the_synthetic_clouds(monkeypatch):
     assert calls == []
 
 
+def test_exact_violations_prepass_matches_cell_enumeration():
+    # The oracle's float pre-pass may only defer a cell to integers, never
+    # decide it wrongly.  Reference: strictly_inside on every cell.  Wrong
+    # meshes come from triangulating a jittered copy of the points.  On
+    # 1e-14-jittered grids and on near-collinear chains with an apex, some
+    # cells' float determinants have the wrong sign.
+    def enumerated(points, triangles):
+        q = oracles.exact_points(points)
+        return [
+            (t, m)
+            for t, (i, j, k) in enumerate(triangles)
+            for m in range(len(q))
+            if m not in (i, j, k) and oracles.strictly_inside(q[i], q[j], q[k], q[m])
+        ]
+
+    rng = np.random.default_rng(77)
+    grid = np.array([(x, y) for x in range(7) for y in range(7)], dtype=float)
+    cases = []
+    for _ in range(20):
+        pts = rng.uniform(0, 100, size=(int(rng.integers(6, 60)), 2))
+        cases.append((pts, delaunay(pts + rng.normal(0, 3, size=pts.shape))))
+        pts, other = (grid + rng.uniform(-1e-14, 1e-14, size=grid.shape) for _ in range(2))
+        cases.append((pts, delaunay(other)))
+        x = np.sort(rng.uniform(0, 10, size=15))
+        chain = np.column_stack([x, 0.5 * x + 1.0 + rng.uniform(-1e-14, 1e-14, size=15)])
+        pts = np.vstack([chain, rng.uniform(-10, 20, size=(1, 2))])
+        cases.append((pts, delaunay(pts)))
+    wrong = 0
+    for pts, tri in cases:
+        expected = enumerated(pts, tri.triangles)
+        assert oracles.exact_violations(pts, tri.triangles) == expected
+        wrong += bool(expected)
+    assert wrong >= 30
+
+
 def test_delaunay_random_suite_validity_counts_areas():
     rng = np.random.default_rng(20240528)
     for _ in range(60):
         n = int(rng.integers(4, 120))
         pts = rng.uniform(0, 1000, size=(n, 2))
         tri = delaunay(pts)
-        assert empty_circumcircle_violations(pts, tri.triangles) == []
         assert oracles.exact_violations(pts, tri.triangles) == []
         assert {i for t in tri.triangles for i in t} == set(range(n))
         hull = oracles.convex_hull_indices(pts)
@@ -506,8 +539,9 @@ def test_delaunay_degenerate_inputs_byte_identical():
     # Pins meshes and areas where the exact stages decide: uniform sets,
     # integer grids and shuffles of them (cocircular ties), 1e-14-jittered
     # grids, near-collinear chains with an apex (slivers whose Heron area
-    # rounds to 0), relabelled radius-5 circles, and scalings that make a
-    # per-mesh bound inf (1e150 and the 1e78 strip) or underflow (1e-150).
+    # rounds to 0, so their exact areas are pinned), relabelled radius-5
+    # circles, and scalings that make a per-mesh bound inf (1e150 and the
+    # 1e78 strip) or underflow (1e-150).
     # The 1e150 set's areas overflow, so its error message is pinned.
     digest = hashlib.sha256()
     for pts in _degenerate_sets():
@@ -520,8 +554,25 @@ def test_delaunay_degenerate_inputs_byte_identical():
         digest.update(tri.areas.tobytes())
         digest.update(tri.average_relative_area.hex().encode())
     assert digest.hexdigest() == (
-        "08f5f6f64142e7cb3bdf58596d2a966f51e6256da45c79709312a0771c7daea8"
+        "86c595eeae4d363d3d441fbb2be0cafd8d9db9cfc4d9ce6ba01b21d122e9adbb"
     )
+
+
+def test_delaunay_sliver_areas_are_exact():
+    # Where Heron's formula rounds a mesh triangle's area to 0, the area is
+    # the exact half orientation determinant, rounded once.
+    slivers = 0
+    for pts in _degenerate_sets():
+        try:
+            tri = delaunay(pts)
+        except ValueError:
+            continue
+        for t, area in zip(tri.triangles, tri.areas):
+            a, b, c = pts[list(t)]
+            if triangle_area(*(math.hypot(*d) for d in (a - b, b - c, c - a))) == 0:
+                slivers += 1
+                assert area == float(oracles.exact_area(a, b, c))
+    assert slivers > 0
 
 
 def test_delaunay_areas_follow_the_scalar_heron_chain():

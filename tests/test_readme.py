@@ -1,9 +1,14 @@
-"""The README's Quick start commands run as written and exit 0.
+"""The README's Quick start commands run as written and exit 0, and its
+Library layout table names only what its modules hold.
 
-They run in a temporary working directory, so `data/synth` and
+The commands run in a temporary working directory, so `data/synth` and
 `gallery.bin` land there; the dataset is cut to 3 subjects at 8x6.
 """
 
+import builtins
+import dataclasses
+import importlib
+import re
 import shlex
 import subprocess
 import sys
@@ -47,3 +52,44 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
             rc = cli.main(argv[1:])
             assert rc == 0, (argv, capsys.readouterr().err)
     assert (tmp_path / "gallery.bin").is_file()
+
+
+def layout_rows():
+    """(module name, backticked identifiers) per Library layout row."""
+    section = (ROOT / "README.md").read_text().split("## Library layout", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    for line in section.splitlines():
+        row = re.fullmatch(r"\| `(dtpca\.\w+)` \|(.*)\|", line)
+        if row:
+            yield row[1], re.findall(r"`([A-Za-z_][\w.]*)`", row[2])
+
+
+def names_in(module, name):
+    """name is an attribute path of module, a field of one of its
+    dataclasses, a builtin, or the package itself."""
+    if name == "dtpca" or hasattr(builtins, name):
+        return True
+    fields = {
+        f.name
+        for v in vars(module).values()
+        if isinstance(v, type) and dataclasses.is_dataclass(v)
+        for f in dataclasses.fields(v)
+    }
+    obj = module
+    for part in name.split("."):
+        if not hasattr(obj, part):
+            return name in fields
+        obj = getattr(obj, part)
+    return True
+
+
+def test_readme_layout_names_exist():
+    rows = list(layout_rows())
+    assert len(rows) == 7
+    missing = [
+        (module, name)
+        for module, names in rows
+        for name in names
+        if not names_in(importlib.import_module(module), name)
+    ]
+    assert missing == []

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import oracles
 from dtpca import geometry
 from dtpca.dataset_io import ImageVector, LandmarkSet
-from dtpca.eigenface import eigen_distance, fit_eigenmodel, project
+from dtpca.eigenface import fit_eigenmodel, project
 from dtpca.recognizer import (
     GALLERY_ARRAYS,
     GalleryFormatError,
@@ -204,8 +205,8 @@ def test_fusion_flips_argmin(flip_fixture):
 
 @pytest.mark.parametrize("mode", ["pca_only", "dt_pca"])
 def test_vector_scores_equal_scalar_ops_bitwise(mode):
-    # The scalar eigen_distance / dt_difference / fused_score per row are
-    # the reference; the one-pass scorer must reproduce them exactly.
+    # The scalar oracles.eigen_distance / dt_difference / fused_score per
+    # row are the reference; the one-pass scorer must reproduce them exactly.
     rng = np.random.default_rng(11)
     width, height, n, k = 9, 7, 40, 25
 
@@ -230,7 +231,7 @@ def test_vector_scores_equal_scalar_ops_bitwise(mode):
         tt_avg = geometry.delaunay(test_landmarks).average_relative_area
         ed, d, rv = [], [], []
         for rec in records:
-            ed.append(eigen_distance(q, project(model, rec.image)))
+            ed.append(oracles.eigen_distance(q, project(model, rec.image)))
             if mode == "pca_only":
                 d.append(0.0)
                 rv.append(ed[-1])
