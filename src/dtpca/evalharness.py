@@ -146,7 +146,10 @@ def train_gallery(entries, k: int, with_landmarks: bool, read=None, model=None):
         )
         for e, img in zip(entries, images)
     ]
-    return recognizer.build_gallery(model, records), model
+    try:
+        return recognizer.build_gallery(model, records), model
+    except recognizer.LandmarkError as exc:
+        raise DatasetFormatError(f"{entries[exc.index].landmark_path}: {exc}") from None
 
 
 def run_table(

@@ -10,32 +10,31 @@ order, so each new point is outside the hull of its predecessors and sees a
 run of hull edges that touches the point inserted just before it; walking
 the hull ring both ways from that point finds the run.  The new point is
 fanned onto the run, and Lawson flips legalize only the edges opposite it
-(Guibas and Stolfi 1985).  Every orientation and in-circle sign is exact:
-one error bound per mesh decides almost all of them, a per-call
-floating-point filter most of the rest, and the determinant alone on
-Fractions the remainder.  Lawson decides cocircular quads where it tests
-them, under Simulation of Simplicity (Edelsbrunner and Mücke 1990): the kept
-diagonal is the one whose lowest vertex index is smallest, so each
-cocircular polygon is fanned from its lowest index.  Only the sweep runs
-per point in Python; the finished mesh goes to numpy once, for the
-canonical triangle order and Heron's formula over all triangles (edge
-lengths from math.hypot).
+(Guibas and Stolfi 1985).  Every orientation and in-circle sign is exact.
+One error bound per mesh decides almost all of them: a double determinant
+errs by at most Shewchuk's coefficient times its permanent, which is at
+most that bound.  The determinant in exact integer arithmetic decides the
+rest.  Lawson decides cocircular quads where it tests them, under
+Simulation of Simplicity (Edelsbrunner and Mücke 1990): the kept diagonal
+is the one whose lowest vertex index is smallest, so each cocircular
+polygon is fanned from its lowest index.  Only the sweep runs per point in
+Python; the finished mesh goes to numpy once, for the canonical triangle
+order and Heron's formula over all triangles (edge lengths from math.hypot).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-# Float filter for the predicate kernels (Shewchuk, "Adaptive Precision
-# Floating-Point Arithmetic and Fast Robust Geometric Predicates", 1997):
-# the double determinant has the exact sign when |det| exceeds the bound
-# times its permanent.  The bounds assume no underflow, so TINY is added
-# to them and no determinant below it is trusted.  An overflowed permanent
-# (inf or nan) never passes either.  Undecided signs are recomputed exactly.
+# Error coefficients (Shewchuk, "Adaptive Precision Floating-Point Arithmetic
+# and Fast Robust Geometric Predicates", 1997): a double determinant differs
+# from the exact one by at most the coefficient times its permanent, the
+# same sum over each product's absolute value.  They assume no underflow,
+# so TINY is added and no determinant below it is trusted.  `_static_bounds`
+# builds one bound per mesh from them.
 _EPS = 2.0**-53
 ORIENT_BOUND = (3 + 16 * _EPS) * _EPS
 INCIRCLE_BOUND = (10 + 96 * _EPS) * _EPS
@@ -127,20 +126,14 @@ def average_relative_area(ras) -> float:
 
 def _orient_det(ax, ay, bx, by, cx, cy):
     """Orientation determinant of (a, b, c), positive when counterclockwise.
-    Runs unchanged on floats, numpy arrays and Fractions."""
+    Runs unchanged on floats, numpy arrays and Python integers."""
     return (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
-
-
-def _orient(ax, ay, bx, by, cx, cy):
-    """_orient_det of (a, b, c) and its permanent."""
-    permanent = abs((ax - cx) * (by - cy)) + abs((ay - cy) * (bx - cx))
-    return _orient_det(ax, ay, bx, by, cx, cy), permanent
 
 
 def _incircle_det(ax, ay, bx, by, cx, cy, px, py):
     """Lifted 3x3 determinant for p against circle(a, b, c), positive when
     p is inside for counterclockwise (a, b, c).  Runs unchanged on floats,
-    numpy arrays and Fractions."""
+    numpy arrays and Python integers."""
     adx = ax - px
     ady = ay - py
     bdx = bx - px
@@ -154,25 +147,19 @@ def _incircle_det(ax, ay, bx, by, cx, cy, px, py):
     )
 
 
-def _incircle(ax, ay, bx, by, cx, cy, px, py):
-    """_incircle_det of p against circle(a, b, c) and its permanent."""
-    diffs = (ax - px, ay - py, bx - px, by - py, cx - px, cy - py)
-    adx, ady, bdx, bdy, cdx, cdy = map(abs, diffs)
-    permanent = (
-        (adx * adx + ady * ady) * (bdx * cdy + cdx * bdy)
-        + (bdx * bdx + bdy * bdy) * (cdx * ady + adx * cdy)
-        + (cdx * cdx + cdy * cdy) * (adx * bdy + bdx * ady)
-    )
-    return _incircle_det(ax, ay, bx, by, cx, cy, px, py), permanent
+def _as_integers(coords) -> tuple[list[int], int]:
+    """Float coordinates times their largest denominator den, as Python
+    integers, and den.  Every float is n / 2**e, so this is exact and keeps
+    the sign of both determinants (scaled by den**2 and den**4)."""
+    ratios = [v.as_integer_ratio() for v in coords]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios], den
 
 
-def _sign(kernel, det, bound, *coords) -> int:
-    """Exact sign of a kernel's determinant at float coordinates: the double
-    result's when it passes the filter, else that of `det`, the kernel's
-    determinant alone, on Fractions."""
-    value, permanent = kernel(*coords)
-    if not abs(value) > bound * permanent + TINY:
-        value = det(*map(Fraction, coords))
+def _sign(det, *coords) -> int:
+    """Exact sign of `det`, _orient_det or _incircle_det, at float
+    coordinates."""
+    value = det(*_as_integers(coords)[0])
     return (value > 0) - (value < 0)
 
 
@@ -180,7 +167,7 @@ def orientation(a, b, c) -> int:
     """Exact orientation of (a, b, c): 1 counterclockwise, -1 clockwise,
     0 collinear."""
     return _sign(
-        _orient, _orient_det, ORIENT_BOUND,
+        _orient_det,
         float(a[0]), float(a[1]), float(b[0]), float(b[1]), float(c[0]), float(c[1]),
     )
 
@@ -191,9 +178,10 @@ def _static_bounds(xs, ys) -> tuple[float, float]:
     triangulations", 2003).  Rounding is monotone, so every computed
     coordinate difference is at most span, and a permanent at most 2 span**2
     (orientation) or 12 span**4 (in-circle), give or take a few roundings
-    that the 1 + 2**-40 factor covers.  So a determinant beyond a bound also
-    passes the filter of `_sign`.  An overflow makes a bound inf; float
-    `**` would raise OverflowError instead."""
+    that the 1 + 2**-40 factor covers.  A determinant errs by at most its
+    coefficient times its permanent, which is at most the bound, so beyond
+    the bound its sign is exact.  An overflow makes a bound inf; float `**`
+    would raise OverflowError instead."""
     span = max(max(xs) - min(xs), max(ys) - min(ys))
     sq = span * span
     return (
@@ -247,16 +235,6 @@ def delaunay(landmarks) -> Triangulation:
 
     orient_bound, incircle_bound = _static_bounds(xs, ys)
 
-    def orient_sign(a, b, c):
-        # 1 when (a, b, c) is counterclockwise, 0 collinear, -1 clockwise.
-        det = _orient_det(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c])
-        if det > orient_bound:
-            return 1
-        if det < -orient_bound:
-            return -1
-        coords = (xs[a], ys[a], xs[b], ys[b], xs[c], ys[c])
-        return _sign(_orient, _orient_det, ORIENT_BOUND, *coords)
-
     def incircle_sign(a, b, c, d):
         # 1 when d is inside the circumcircle of the counterclockwise
         # triangle (a, b, c), -1 outside.  When d is exactly on it, the quad
@@ -268,14 +246,18 @@ def delaunay(landmarks) -> Triangulation:
         # sweep builds its unique Delaunay mesh: the fan from each cocircular
         # polygon's lowest index, whatever the insertion order.
         coords = (xs[a], ys[a], xs[b], ys[b], xs[c], ys[c], xs[d], ys[d])
-        sign = _sign(_incircle, _incircle_det, INCIRCLE_BOUND, *coords)
+        sign = _sign(_incircle_det, *coords)
         return sign or (1 if min(c, d) < min(a, b) else -1)
 
     chain: list[int] = []  # leading collinear run, in sorted order
     last = -1  # the point inserted last, once the mesh is 2D
     for i in order.tolist():
         if last < 0:
-            side = orient_sign(chain[0], chain[-1], i) if len(chain) >= 2 else 0
+            side = 0
+            if len(chain) >= 2:  # beyond the bound the sign is det's; within it, or nan, exact
+                c = (xs[chain[0]], ys[chain[0]], xs[chain[-1]], ys[chain[-1]], xs[i], ys[i])
+                det = _orient_det(*c)
+                side = (det > 0) - (det < 0) if abs(det) > orient_bound else _sign(_orient_det, *c)
             if side == 0:
                 chain.append(i)
                 continue
@@ -303,12 +285,14 @@ def delaunay(landmarks) -> Triangulation:
         first = last
         while (
             (det := _orient_det(xs[q := hull_prev[first]], ys[q], xs[first], ys[first], xi, yi))
-            < -orient_bound or not det > orient_bound and orient_sign(q, first, i) < 0
+            < -orient_bound or not det > orient_bound
+            and _sign(_orient_det, xs[q], ys[q], xs[first], ys[first], xi, yi) < 0
         ):
             first = q
         while (
             (det := _orient_det(xs[last], ys[last], xs[q := hull_next[last]], ys[q], xi, yi))
-            < -orient_bound or not det > orient_bound and orient_sign(last, q, i) < 0
+            < -orient_bound or not det > orient_bound
+            and _sign(_orient_det, xs[last], ys[last], xs[q], ys[q], xi, yi) < 0
         ):
             last = q
         t0 = size
@@ -373,16 +357,16 @@ def delaunay(landmarks) -> Triangulation:
 
     # Heron's formula from edge lengths, in math.hypot's rounding (np.hypot
     # differs from it in the last bit on about 0.1 % of pairs).  Where Heron
-    # rounds a sliver to 0, take half the orientation determinant on
-    # Fractions, which is non-zero on every mesh triangle, rounded once;
-    # only an area below the smallest double stays 0.
+    # rounds a sliver to 0, take half the exact orientation determinant,
+    # which is non-zero on every mesh triangle, rounded once (int / int
+    # rounds correctly); only an area below the smallest double stays 0.
     x, y = pts[:, 0][corners.T], pts[:, 1][corners.T]  # row k: corner k of each triangle
     dx, dy = (x - x[[1, 2, 0]]).ravel().tolist(), (y - y[[1, 2, 0]]).ravel().tolist()
     areas = triangle_area(*np.fromiter(map(math.hypot, dx, dy), float, len(dx)).reshape(3, -1))
     for t in np.flatnonzero(areas == 0).tolist():
         a, b, c = triangles[t]
-        coords = (xs[a], ys[a], xs[b], ys[b], xs[c], ys[c])
-        areas[t] = float(abs(_orient_det(*map(Fraction, coords))) / 2)
+        ints, den = _as_integers((xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]))
+        areas[t] = abs(_orient_det(*ints)) / (2 * den * den)
     ras = relative_areas(areas)
     return Triangulation(
         points=pts,

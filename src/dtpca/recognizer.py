@@ -41,8 +41,12 @@ class GalleryFormatError(ValueError):
 
 
 class LandmarkError(ValueError):
-    """The test landmarks do not match the gallery's scheme, or delaunay
-    rejects them."""
+    """Landmarks do not match the gallery's scheme, or delaunay rejects
+    them.  From build_gallery, `index` is the rejected training record's."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,8 @@ def build_gallery(model: EigenModel, train) -> Gallery:
 
     Records without landmarks give a gallery with ra_avg None, which only
     supports pca_only matching.  All records must either have landmarks
-    with one common scheme, or none at all.
+    with one common scheme, or none at all.  Landmarks that delaunay
+    rejects raise LandmarkError with the record's index.
     """
     records = list(train)
     if not records:
@@ -123,8 +128,7 @@ def build_gallery(model: EigenModel, train) -> Gallery:
             try:
                 ra_avg.append(geometry.delaunay(rec.landmarks).average_relative_area)
             except ValueError as exc:
-                where = rec.source_path or f"{rec.subject_id}/{rec.variant}"
-                raise ValueError(f"{where}: {exc}") from None
+                raise LandmarkError(str(exc), len(ra_avg)) from None
     return Gallery(
         scheme=schemes.pop() if schemes else None,
         subjects=tuple(r.subject_id for r in records),

@@ -6,8 +6,9 @@ empty-circumcircle enumeration, hulls by monotone chain, areas by the
 shoelace formula, and eigenspaces by a direct pixel-space covariance
 eigendecomposition.  The exceptions are helpers no pipeline stage calls,
 so they live here: `in_circumcircle` classifies a point with the package's
-own exact kernels, so its tests check those kernels, and `reconstruct` and
-`eigen_distance` act on a fitted model's coordinates.
+own exact stage, `_sign` on its two determinants in integer arithmetic, so
+its tests check that stage, and `reconstruct` and `eigen_distance` act on a
+fitted model's coordinates.
 """
 
 import itertools
@@ -16,9 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dtpca.geometry import (
-    INCIRCLE_BOUND, ORIENT_BOUND, _incircle, _incircle_det, _orient, _orient_det, _sign,
-)
+from dtpca.geometry import _incircle_det, _orient_det, _sign
 
 
 def orient_raw(a, b, c):
@@ -132,10 +131,10 @@ def in_circumcircle(a, b, c, p) -> str:
     a, b, c are collinear (no circumcircle exists).
     """
     coords = [float(v) for q in (a, b, c, p) for v in (q[0], q[1])]
-    side = _sign(_orient, _orient_det, ORIENT_BOUND, *coords[:6])
+    side = _sign(_orient_det, *coords[:6])
     if side == 0:
         raise ValueError("collinear points have no circumcircle")
-    s = _sign(_incircle, _incircle_det, INCIRCLE_BOUND, *coords)
+    s = _sign(_incircle_det, *coords)
     if s == 0:
         return "on"
     return "inside" if s == side else "outside"

@@ -175,6 +175,30 @@ def test_train_scheme_dir_override(tmp_path, capsys, synth_dataset):
     assert gallery_records(out)[0]["scheme"] == 68
 
 
+@pytest.fixture
+def vanishing_manifest(tmp_path, synth_dataset, write_landmarks):
+    """The synthetic manifest with s02_v2's landmarks scaled by 1e-166, so
+    that delaunay finds every area zero; returns it and that file's path."""
+    manifest = load_manifest(synth_dataset["manifest"])
+    entries = list(manifest.entries)
+    k, e = next((k, e) for k, e in enumerate(entries) if (e.subject_id, e.variant) == ("s02", "v2"))
+    bad = write_landmarks("s02_v2.csv", (load_landmarks(e.landmark_path).points * 1e-166).tolist())
+    entries[k] = dataset_io.ManifestEntry(e.image_path, e.subject_id, e.variant, bad)
+    path = tmp_path / "vanishing.csv"
+    save_manifest(DatasetManifest(entries=tuple(entries)), path)
+    return path, bad
+
+
+def test_train_names_the_rejected_landmark_file(tmp_path, capsys, vanishing_manifest):
+    # It used to name the image, s02_v2.pgm.
+    manifest, bad = vanishing_manifest
+    out = tmp_path / "g.gallery"
+    rc, _, err = run_cli(capsys, "train", "--manifest", str(manifest), "--out", str(out))
+    assert rc == 2
+    assert err == f"error: data: {bad}: all areas are zero\n"
+    assert not out.exists()
+
+
 # --- recognize --------------------------------------------------------------------
 
 @pytest.fixture
@@ -385,6 +409,23 @@ def test_evaluate_no_test_images_is_usage_error(capsys, synth_dataset):
     )
     assert rc == 1
     assert err.startswith("error: usage:")
+
+
+def test_evaluate_names_the_rejected_training_landmark_file(capsys, vanishing_manifest):
+    # With 2 training variants, s02_v2 is in the training split.  Like the
+    # test side, the training side names the landmark file, not the image.
+    manifest, bad = vanishing_manifest
+    rc, out, err = run_cli(
+        capsys,
+        "evaluate",
+        "--manifest", str(manifest),
+        "--train-variants", "2",
+        "--modes", "dt-pca",
+        "--report", "text",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: data: {bad}: all areas are zero\n"
 
 
 def test_evaluate_csv_to_file(capsys, tmp_path, synth_dataset):

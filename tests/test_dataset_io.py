@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -138,17 +137,20 @@ def test_load_landmarks_collinear(write_landmarks):
         load_landmarks(path)
 
 
-def test_load_landmarks_collinearity_check_needs_no_fractions(write_landmarks, monkeypatch):
-    # The check tests each point against its first two distinct points a, b.
-    # Only an exactly collinear triple needs Fractions: (a, b, b) is one, so
-    # b itself is skipped.
-    made = []
-    monkeypatch.setattr(geometry, "Fraction", lambda v: made.append(v) or Fraction(v))
-    load_landmarks(write_landmarks("kink.csv", [(0, 0), (1, 1), (2, 2), (3, 0)]))
-    assert made  # (0, 0), (1, 1), (2, 2) is exactly collinear
-    made.clear()
+def test_load_landmarks_collinearity_check_counts_exact_orientations(
+    write_landmarks, monkeypatch
+):
+    # The check tests each point against its first two distinct points a, b,
+    # skipping b itself, and stops at the first turn.  Each test is one
+    # exact orientation.
+    signs = []
+    sign = geometry._sign
+    monkeypatch.setattr(geometry, "_sign", lambda *c: signs.append(c) or sign(*c))
     load_landmarks(write_landmarks("plain.csv", [(0, 0), (4, 0), (2, 3), (1, 1)]))
-    assert made == []
+    assert len(signs) == 1
+    signs.clear()
+    load_landmarks(write_landmarks("kink.csv", [(0, 0), (1, 1), (2, 2), (3, 0)]))
+    assert len(signs) == 2  # (0, 0), (1, 1), (2, 2) is exactly collinear
 
 
 def test_load_landmarks_too_few(write_landmarks):

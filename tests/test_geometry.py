@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,6 +62,32 @@ def test_incircle_orientation_independent(pts, perm):
             oracles.in_circumcircle(tri[perm[0]], tri[perm[1]], tri[perm[2]], p)
         return
     assert oracles.in_circumcircle(tri[perm[0]], tri[perm[1]], tri[perm[2]], p) == base
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    grid=st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=4, max_size=4),
+    shifts=st.lists(st.integers(0, 8), min_size=4, max_size=4),
+    scale=st.integers(-1070, 1000),
+    offset=st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 60)),
+)
+def test_exact_sign_matches_integer_oracle(grid, shifts, scale, offset):
+    # The exact stage on small-grid triples and quads, each point scaled by
+    # its own power of two near 2**scale and all offset by another one, so
+    # one predicate mixes denominators from 1 to 2**1070.  Grid points make
+    # exact zeros common, and no float filter may decide them.
+    ox, oy, rise = offset
+    o = min(scale + rise, 1010)
+    pts = [
+        (math.ldexp(gx, scale + k) + math.ldexp(ox, o), math.ldexp(gy, scale + k) + math.ldexp(oy, o))
+        for (gx, gy), k in zip(grid, shifts)
+    ]
+    coords = [v for p in pts for v in p]
+    q = oracles.exact_points(pts)
+    orient = oracles.orient_raw(*q[:3])
+    incircle = oracles.incircle_exact(*q)
+    assert geometry._sign(geometry._orient_det, *coords[:6]) == (orient > 0) - (orient < 0)
+    assert geometry._sign(geometry._incircle_det, *coords) == (incircle > 0) - (incircle < 0)
 
 
 # --- scalar descriptor chain ------------------------------------------------
@@ -228,19 +253,6 @@ def test_delaunay_cocircular_tie_break_other_labelling():
     assert tri.triangles == [(0, 1, 2), (0, 1, 3)]
 
 
-def test_exact_fallback_recomputes_the_determinant_alone(monkeypatch):
-    # The rectangle's quad is exactly cocircular, so its in-circle sign goes
-    # to Fractions; only the determinant is recomputed there, never the
-    # permanent kernel.
-    seen = []
-    kernel = geometry._incircle
-    monkeypatch.setattr(geometry, "_incircle", lambda *c: seen.append(c) or kernel(*c))
-    tri = delaunay(np.array([(0, 0), (1, 0), (0, 1), (1, 1)], dtype=float))
-    assert tri.triangles == [(0, 1, 3), (0, 2, 3)]
-    assert seen
-    assert not any(isinstance(v, Fraction) for coords in seen for v in coords)
-
-
 # The 12 integer points on the radius-5 circle, all exactly cocircular.
 CIRCLE_5 = [(5, 0), (4, 3), (3, 4), (0, 5), (-3, 4), (-4, 3),
             (-5, 0), (-4, -3), (-3, -4), (0, -5), (3, -4), (4, -3)]
@@ -389,17 +401,30 @@ def test_delaunay_exact_on_degenerate_inputs(family, data):
 @settings(max_examples=60, deadline=None)
 @given(pts=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=4, max_size=6))
 def test_static_bounds_cover_every_filter_bound(place, pts):
-    # A sign the per-mesh bound decides must also pass the per-call filter,
-    # so that bound may not fall below the filter's for any 3 or 4 points
-    # of the set, in any order.  An overflow may only make it inf.
+    # A sign the per-mesh bound decides is exact only if that bound covers
+    # Shewchuk's error bound, the coefficient times the double permanent
+    # plus TINY, for any 3 or 4 points of the set, in any order.  An
+    # overflow may only make it inf.
+    def orient_permanent(ax, ay, bx, by, cx, cy):
+        return abs((ax - cx) * (by - cy)) + abs((ay - cy) * (bx - cx))
+
+    def incircle_permanent(ax, ay, bx, by, cx, cy, px, py):
+        diffs = (ax - px, ay - py, bx - px, by - py, cx - px, cy - py)
+        adx, ady, bdx, bdy, cdx, cdy = map(abs, diffs)
+        return (
+            (adx * adx + ady * ady) * (bdx * cdy + cdx * bdy)
+            + (bdx * bdx + bdy * bdy) * (cdx * ady + adx * cdy)
+            + (cdx * cdx + cdy * cdy) * (adx * bdy + bdx * ady)
+        )
+
     pts = place(np.array(pts))
     static = geometry._static_bounds(pts[:, 0].tolist(), pts[:, 1].tolist())
-    kernels = ((geometry._orient, geometry.ORIENT_BOUND, 3),
-               (geometry._incircle, geometry.INCIRCLE_BOUND, 4))
-    for (kernel, bound, arity), mesh_bound in zip(kernels, static):
+    kernels = ((orient_permanent, geometry.ORIENT_BOUND, 3),
+               (incircle_permanent, geometry.INCIRCLE_BOUND, 4))
+    for (permanent, bound, arity), mesh_bound in zip(kernels, static):
         idx = np.array(list(itertools.permutations(range(len(pts)), arity)))
         with np.errstate(over="ignore", invalid="ignore"):
-            _, perm = kernel(*(pts[idx[:, k], axis] for k in range(arity) for axis in (0, 1)))
+            perm = permanent(*(pts[idx[:, k], axis] for k in range(arity) for axis in (0, 1)))
             call_bound = bound * perm + geometry.TINY
         assert not math.isnan(mesh_bound)
         assert mesh_bound == math.inf or np.all(call_bound <= mesh_bound)
@@ -407,10 +432,10 @@ def test_static_bounds_cover_every_filter_bound(place, pts):
 
 def test_delaunay_mesh_bound_decides_the_synthetic_clouds(monkeypatch):
     # On the 135 paper-scale clouds of each scheme the per-mesh bounds
-    # decide every sign, so neither the exact sign nor any kernel that
-    # computes a permanent runs, and no Fraction is made.
+    # decide every sign, and no area needs the exact determinant, so the
+    # exact integer stage never runs.
     calls = []
-    for name in ("_sign", "_orient", "_incircle", "Fraction"):
+    for name in ("_sign", "_as_integers"):
         kernel = getattr(geometry, name)
         monkeypatch.setattr(geometry, name, lambda *c, k=kernel, n=name: calls.append(n) or k(*c))
     for scheme in (68, 79, 194):
