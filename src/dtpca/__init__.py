@@ -31,21 +31,13 @@ from .evalharness import (
     run_table,
     train_gallery,
 )
-from .geometry import (
-    Triangulation,
-    average_relative_area,
-    delaunay,
-    relative_areas,
-    triangle_area,
-)
+from .geometry import Triangulation, delaunay
 from .recognizer import (
     Gallery,
     GalleryFormatError,
     MatchReport,
     TrainingRecord,
     build_gallery,
-    dt_difference,
-    fused_score,
     load_gallery,
     recognize,
     save_gallery,

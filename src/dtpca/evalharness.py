@@ -17,7 +17,6 @@ import io
 import math
 import sys
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from . import dataset_io, eigenface, recognizer
 from .dataset_io import DatasetFormatError
@@ -84,13 +83,13 @@ class AccuracyTable:
 
 
 def accuracy(correct: int, total: int) -> float:
-    """Percent accuracy, half-up rounded to 1 decimal (exact rational)."""
+    """Percent accuracy, half-up rounded to 1 decimal: tenths of a percent
+    are floor(1000 * correct / total + 1/2), taken in integers."""
     if total <= 0:
         raise ValueError("total must be positive")
     if not 0 <= correct <= total:
         raise ValueError(f"correct={correct} outside [0, {total}]")
-    tenths = Fraction(1000 * correct, total) + Fraction(1, 2)
-    return (tenths.numerator // tenths.denominator) / 10
+    return (2000 * correct + total) // (2 * total) / 10
 
 
 class ImageReader:
@@ -103,10 +102,7 @@ class ImageReader:
     def __call__(self, path):
         img = self._images.get(path)
         if img is None:
-            try:
-                img = dataset_io.load_image(path)
-            except FileNotFoundError:
-                raise DatasetFormatError(f"{path}: image file not found") from None
+            img = dataset_io.load_image(path)
             if self._dims not in (None, (img.width, img.height)):
                 raise DatasetFormatError(
                     f"{path}: image is {img.width}x{img.height}, expected "
@@ -115,13 +111,6 @@ class ImageReader:
             self._images[path] = img
             self._dims = (img.width, img.height)
         return img
-
-
-def load_landmarks_checked(path):
-    try:
-        return dataset_io.load_landmarks(path)
-    except FileNotFoundError:
-        raise DatasetFormatError(f"{path}: landmark file not found") from None
 
 
 def train_gallery(entries, k: int, with_landmarks: bool, read=None, model=None):
@@ -139,7 +128,7 @@ def train_gallery(entries, k: int, with_landmarks: bool, read=None, model=None):
     records = [
         recognizer.TrainingRecord(
             image=img,
-            landmarks=load_landmarks_checked(e.landmark_path) if with_landmarks else None,
+            landmarks=dataset_io.load_landmarks(e.landmark_path) if with_landmarks else None,
             subject_id=e.subject_id,
             variant=e.variant,
             source_path=str(e.image_path),
@@ -205,7 +194,7 @@ def run_table(
                     )
             test_images = [read(e.image_path) for e in test_m.entries]
             test_landmarks = [
-                load_landmarks_checked(e.landmark_path) if need_dt else None
+                dataset_io.load_landmarks(e.landmark_path) if need_dt else None
                 for e in test_m.entries
             ]
             for mode in cell_modes:

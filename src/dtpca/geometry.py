@@ -73,57 +73,6 @@ class Triangulation:
         }
 
 
-def triangle_area(l1, l2, l3):
-    """Triangle area from its three edge lengths (Heron's formula), of one
-    triangle or elementwise over arrays of lengths.
-
-    A slightly negative radicand from rounding is clamped to zero; a
-    radicand below -1e-9 * S**4 means the lengths genuinely violate the
-    triangle inequality and raises ValueError.  Overflow gives inf or nan.
-    """
-    lengths = np.array([l1, l2, l3], dtype=float)
-    if (lengths < 0).any():
-        raise ValueError("edge lengths must be non-negative")
-    l1, l2, l3 = lengths
-    s = (l1 + l2 + l3) / 2.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        radicand = s * (s - l1) * (s - l2) * (s - l3)
-        violated = radicand < -1e-9 * s * s * s * s
-    if violated.any():
-        l1, l2, l3 = lengths.reshape(3, -1)[:, np.argmax(violated)]
-        raise ValueError(
-            f"edge lengths ({l1}, {l2}, {l3}) violate the triangle inequality"
-        )
-    return np.sqrt(np.where(radicand < 0, 0.0, radicand))
-
-
-def relative_areas(areas) -> np.ndarray:
-    """Each area divided by the largest one. The maximum maps to exactly 1.
-
-    Raises ValueError on an empty sequence, a negative or non-finite area
-    (Heron's formula overflows on coordinates near 1e150), or all zeros.
-    """
-    arr = np.asarray(areas, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty area sequence")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite triangle area")
-    if np.any(arr < 0):
-        raise ValueError("areas must be non-negative")
-    amax = arr.max()
-    if amax <= 0:
-        raise ValueError("all areas are zero")
-    return arr / amax
-
-
-def average_relative_area(ras) -> float:
-    """Arithmetic mean of the relative areas (divisor = triangle count)."""
-    arr = np.asarray(ras, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty relative-area sequence")
-    return float(arr.mean())
-
-
 def _orient_det(ax, ay, bx, by, cx, cy):
     """Orientation determinant of (a, b, c), positive when counterclockwise.
     Runs unchanged on floats, numpy arrays and Python integers."""
@@ -356,23 +305,35 @@ def delaunay(landmarks) -> Triangulation:
     triangles = list(zip(*corners.T.tolist()))
 
     # Heron's formula from edge lengths, in math.hypot's rounding (np.hypot
-    # differs from it in the last bit on about 0.1 % of pairs).  Where Heron
-    # rounds a sliver to 0, take half the exact orientation determinant,
-    # which is non-zero on every mesh triangle, rounded once (int / int
-    # rounds correctly); only an area below the smallest double stays 0.
+    # differs from it in the last bit on about 0.1 % of pairs); a radicand
+    # that rounding takes below 0 counts as 0.  Where Heron rounds a sliver
+    # to 0, take half the exact orientation determinant, which is non-zero
+    # on every mesh triangle, rounded once (int / int rounds correctly);
+    # only an area below the smallest double stays 0.
     x, y = pts[:, 0][corners.T], pts[:, 1][corners.T]  # row k: corner k of each triangle
     dx, dy = (x - x[[1, 2, 0]]).ravel().tolist(), (y - y[[1, 2, 0]]).ravel().tolist()
-    areas = triangle_area(*np.fromiter(map(math.hypot, dx, dy), float, len(dx)).reshape(3, -1))
+    l1, l2, l3 = np.fromiter(map(math.hypot, dx, dy), float, len(dx)).reshape(3, -1)
+    s = (l1 + l2 + l3) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        radicand = s * (s - l1) * (s - l2) * (s - l3)
+    areas = np.sqrt(np.where(radicand < 0, 0.0, radicand))
     for t in np.flatnonzero(areas == 0).tolist():
         a, b, c = triangles[t]
         ints, den = _as_integers((xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]))
         areas[t] = abs(_orient_det(*ints)) / (2 * den * den)
-    ras = relative_areas(areas)
+    # Heron overflows to inf or nan on coordinates near 1e150.  Then each
+    # area over the largest, which maps to exactly 1, and their mean, RA_avg.
+    if not np.all(np.isfinite(areas)):
+        raise ValueError("non-finite triangle area")
+    amax = areas.max()
+    if amax <= 0:
+        raise ValueError("all areas are zero")
+    ras = areas / amax
     return Triangulation(
         points=pts,
         triangles=triangles,
         areas=areas,
         relative_areas=ras,
-        average_relative_area=average_relative_area(ras),
+        average_relative_area=float(ras.mean()),
     )
 

@@ -41,8 +41,9 @@ class GalleryFormatError(ValueError):
 
 
 class LandmarkError(ValueError):
-    """Landmarks do not match the gallery's scheme, or delaunay rejects
-    them.  From build_gallery, `index` is the rejected training record's."""
+    """Landmarks do not match the gallery's scheme (in build_gallery, the
+    first record's), or delaunay rejects them.  From build_gallery, `index`
+    is the rejected training record's."""
 
     def __init__(self, message, index=None):
         super().__init__(message)
@@ -107,17 +108,24 @@ def build_gallery(model: EigenModel, train) -> Gallery:
 
     Records without landmarks give a gallery with ra_avg None, which only
     supports pca_only matching.  All records must either have landmarks
-    with one common scheme, or none at all.  Landmarks that delaunay
-    rejects raise LandmarkError with the record's index.
+    with one common scheme, or none at all.  Landmarks whose scheme differs
+    from the first record's, or that delaunay rejects, raise LandmarkError
+    with the record's index.
     """
     records = list(train)
     if not records:
         raise ValueError("empty training set")
-    schemes = {r.landmarks.scheme for r in records if r.landmarks is not None}
-    if len(schemes) > 1:
-        raise ValueError(f"mixed landmark schemes in training set: {sorted(schemes)}")
-    if schemes and any(r.landmarks is None for r in records):
+    first = records[0].landmarks
+    if any((r.landmarks is None) != (first is None) for r in records):
         raise ValueError("some training records are missing landmarks")
+    scheme = None if first is None else first.scheme
+    for index, rec in enumerate(records):
+        if rec.landmarks is not None and rec.landmarks.scheme != scheme:
+            raise LandmarkError(
+                f"mixed landmark schemes in training set: {rec.landmarks.scheme} "
+                f"points, the first record has {scheme}",
+                index,
+            )
     # One projection per image, not one matmul over all of them: a batched
     # product can round differently, and a self-match must give RV == 0.
     coords = []
@@ -130,25 +138,13 @@ def build_gallery(model: EigenModel, train) -> Gallery:
             except ValueError as exc:
                 raise LandmarkError(str(exc), len(ra_avg)) from None
     return Gallery(
-        scheme=schemes.pop() if schemes else None,
+        scheme=scheme,
         subjects=tuple(r.subject_id for r in records),
         variants=tuple(r.variant for r in records),
         sources=tuple(r.source_path for r in records),
         coords=np.array(coords, dtype=float),
         ra_avg=np.array(ra_avg, dtype=float) if ra_avg else None,
     )
-
-
-def dt_difference(tt_avg, tn_avg):
-    """Positive difference of two average relative areas (elementwise)."""
-    return abs(tt_avg - tn_avg)
-
-
-def fused_score(ed, d, dt_divisor: float = DEFAULT_DT_DIVISOR):
-    """Resultant value RV = ED + D / dt_divisor (elementwise)."""
-    if not 0 < dt_divisor < math.inf:
-        raise ValueError(f"dt_divisor must be positive and finite, got {dt_divisor}")
-    return ed + d / dt_divisor
 
 
 def recognize(
@@ -201,8 +197,8 @@ def recognize(
         d = np.zeros_like(ed)
         rv = ed
     else:
-        d = dt_difference(tt_avg, gallery.ra_avg)
-        rv = fused_score(ed, d, dt_divisor)
+        d = abs(tt_avg - gallery.ra_avg)
+        rv = ed + d / dt_divisor
     best = int(np.argmin(rv))
     return MatchReport(
         best_index=best,

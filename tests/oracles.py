@@ -8,7 +8,10 @@ eigendecomposition.  The exceptions are helpers no pipeline stage calls,
 so they live here: `in_circumcircle` classifies a point with the package's
 own exact stage, `_sign` on its two determinants in integer arithmetic, so
 its tests check that stage, and `reconstruct` and `eigen_distance` act on a
-fitted model's coordinates.
+fitted model's coordinates.  The scalar formula chain is kept here as a
+reference for the arithmetic `delaunay` and `recognize` run inline:
+`triangle_area` (Heron), `relative_areas` and `average_relative_area`
+(RA_avg), `dt_difference` (D) and `fused_score` (RV = ED + D / dt_divisor).
 """
 
 import itertools
@@ -18,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from dtpca.geometry import _incircle_det, _orient_det, _sign
+from dtpca.recognizer import DEFAULT_DT_DIVISOR
 
 
 def orient_raw(a, b, c):
@@ -277,3 +281,66 @@ def eigen_distance(a, b) -> float:
     if a.shape != b.shape:
         raise ValueError(f"coordinate length mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.norm(a - b))
+
+
+def triangle_area(l1, l2, l3):
+    """Triangle area from its three edge lengths (Heron's formula), of one
+    triangle or elementwise over arrays of lengths.
+
+    A slightly negative radicand from rounding is clamped to zero; a
+    radicand below -1e-9 * S**4 means the lengths genuinely violate the
+    triangle inequality and raises ValueError.  Overflow gives inf or nan.
+    """
+    lengths = np.array([l1, l2, l3], dtype=float)
+    if (lengths < 0).any():
+        raise ValueError("edge lengths must be non-negative")
+    l1, l2, l3 = lengths
+    s = (l1 + l2 + l3) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        radicand = s * (s - l1) * (s - l2) * (s - l3)
+        violated = radicand < -1e-9 * s * s * s * s
+    if violated.any():
+        l1, l2, l3 = lengths.reshape(3, -1)[:, np.argmax(violated)]
+        raise ValueError(
+            f"edge lengths ({l1}, {l2}, {l3}) violate the triangle inequality"
+        )
+    return np.sqrt(np.where(radicand < 0, 0.0, radicand))
+
+
+def relative_areas(areas) -> np.ndarray:
+    """Each area divided by the largest one. The maximum maps to exactly 1.
+
+    Raises ValueError on an empty sequence, a negative or non-finite area
+    (Heron's formula overflows on coordinates near 1e150), or all zeros.
+    """
+    arr = np.asarray(areas, dtype=float)
+    if arr.size == 0:
+        raise ValueError("empty area sequence")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("non-finite triangle area")
+    if np.any(arr < 0):
+        raise ValueError("areas must be non-negative")
+    amax = arr.max()
+    if amax <= 0:
+        raise ValueError("all areas are zero")
+    return arr / amax
+
+
+def average_relative_area(ras) -> float:
+    """Arithmetic mean of the relative areas (divisor = triangle count)."""
+    arr = np.asarray(ras, dtype=float)
+    if arr.size == 0:
+        raise ValueError("empty relative-area sequence")
+    return float(arr.mean())
+
+
+def dt_difference(tt_avg, tn_avg):
+    """Positive difference of two average relative areas (elementwise)."""
+    return abs(tt_avg - tn_avg)
+
+
+def fused_score(ed, d, dt_divisor: float = DEFAULT_DT_DIVISOR):
+    """Resultant value RV = ED + D / dt_divisor (elementwise)."""
+    if not 0 < dt_divisor < math.inf:
+        raise ValueError(f"dt_divisor must be positive and finite, got {dt_divisor}")
+    return ed + d / dt_divisor

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -199,6 +200,73 @@ def test_train_names_the_rejected_landmark_file(tmp_path, capsys, vanishing_mani
     assert not out.exists()
 
 
+def edited_manifest(src, out, subject, variant, **changes):
+    """A copy of manifest src, written to out, whose (subject, variant)
+    entry has the fields in `changes` replaced."""
+    entries = tuple(
+        dataclasses.replace(e, **changes) if (e.subject_id, e.variant) == (subject, variant) else e
+        for e in load_manifest(src).entries
+    )
+    save_manifest(DatasetManifest(entries=entries), out)
+    return out
+
+
+def landmark_path_of(manifest, subject, variant):
+    return next(
+        e.landmark_path
+        for e in load_manifest(manifest).entries
+        if (e.subject_id, e.variant) == (subject, variant)
+    )
+
+
+def train_or_evaluate(capsys, command, manifest, tmp_path):
+    """`dtpca train`, or `dtpca evaluate` in dt-pca mode training on 2
+    variants per subject, on one manifest."""
+    argv = {
+        "train": ["--out", str(tmp_path / "g.gallery")],
+        "evaluate": ["--train-variants", "2", "--modes", "dt-pca", "--report", "text"],
+    }[command]
+    return run_cli(capsys, command, "--manifest", str(manifest), *argv)
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_training_landmark_file_of_another_scheme_is_named(
+    capsys, tmp_path, scheme_manifests, command
+):
+    # s02_v2 trains in both commands; its file has 9 points, every other 8.
+    # It used to print the schemes and no path.
+    bad = landmark_path_of(scheme_manifests[1], "s02", "v2")
+    manifest = edited_manifest(
+        scheme_manifests[0], tmp_path / "mixed.csv", "s02", "v2", landmark_path=bad
+    )
+    rc, out, err = train_or_evaluate(capsys, command, manifest, tmp_path)
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        f"error: data: {bad}: mixed landmark schemes in training set: "
+        "9 points, the first record has 8\n"
+    )
+    assert not (tmp_path / "g.gallery").exists()
+
+
+@pytest.mark.parametrize("field", ["image_path", "landmark_path"])
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_missing_training_file_is_one_data_error_naming_it(
+    capsys, tmp_path, synth_dataset, command, field
+):
+    ghost = tmp_path / ("ghost.pgm" if field == "image_path" else "ghost.csv")
+    manifest = edited_manifest(
+        synth_dataset["manifest"], tmp_path / "m.csv", "s02", "v2",
+        **{field: ghost},
+    )
+    rc, out, err = train_or_evaluate(capsys, command, manifest, tmp_path)
+    assert rc == 2
+    assert out == ""
+    # The OSError's own text, as recognize and triangulate print it.
+    assert err == f"error: data: [Errno 2] No such file or directory: '{ghost}'\n"
+    assert not (tmp_path / "g.gallery").exists()
+
+
 # --- recognize --------------------------------------------------------------------
 
 @pytest.fixture
@@ -245,6 +313,25 @@ def test_recognize_wrong_image_size_names_the_image(
     assert rc == 2
     assert out == ""
     assert err == f"error: data: {path}: image is {width}x{height}, expected 10x8\n"
+
+
+def test_recognize_names_landmarks_of_another_scheme(capsys, tmp_path, scheme_manifests):
+    gallery = tmp_path / "g8.gallery"
+    rc, _, err = run_cli(capsys, "train", "--manifest", scheme_manifests[0], "--out", str(gallery))
+    assert rc == 0, err
+    image = next(e.image_path for e in load_manifest(scheme_manifests[1]).entries)
+    bad = landmark_path_of(scheme_manifests[1], "s01", "v1")
+    rc, out, err = run_cli(
+        capsys,
+        "recognize",
+        "--gallery", str(gallery),
+        "--image", str(image),
+        "--landmarks", str(bad),
+        "--mode", "dt-pca",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: data: {bad}: landmark scheme mismatch: test 9 vs gallery 8\n"
 
 
 def test_recognize_dt_pca_requires_landmarks(capsys, synth_dataset, trained_gallery):
@@ -426,6 +513,21 @@ def test_evaluate_names_the_rejected_training_landmark_file(capsys, vanishing_ma
     assert rc == 2
     assert out == ""
     assert err == f"error: data: {bad}: all areas are zero\n"
+
+
+def test_evaluate_names_a_test_landmark_file_of_another_scheme(
+    capsys, tmp_path, scheme_manifests
+):
+    # With 2 training variants, s02_v4 is a test image; its file has 9
+    # points against the 8-point gallery.
+    bad = landmark_path_of(scheme_manifests[1], "s02", "v4")
+    manifest = edited_manifest(
+        scheme_manifests[0], tmp_path / "mixed.csv", "s02", "v4", landmark_path=bad
+    )
+    rc, out, err = train_or_evaluate(capsys, "evaluate", manifest, tmp_path)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: data: {bad}: landmark scheme mismatch: test 9 vs gallery 8\n"
 
 
 def test_evaluate_csv_to_file(capsys, tmp_path, synth_dataset):

@@ -3,11 +3,12 @@ import csv
 import io
 import math
 import shutil
+from fractions import Fraction
 
 import pytest
 
 from dtpca import dataset_io, eigenface
-from dtpca.dataset_io import DatasetFormatError, load_manifest, save_manifest
+from dtpca.dataset_io import load_manifest, save_manifest
 from dtpca.evalharness import (
     AccuracyRow,
     AccuracyTable,
@@ -39,6 +40,15 @@ from dtpca.evalharness import (
 )
 def test_accuracy_rounding(correct, total, expected):
     assert accuracy(correct, total) == expected
+
+
+def test_accuracy_matches_exact_rational_rounding():
+    # The integer formula against half-up rounding on Fractions, for every
+    # count up to 200 tests.
+    for total in range(1, 201):
+        for correct in range(total + 1):
+            tenths = Fraction(1000 * correct, total) + Fraction(1, 2)
+            assert accuracy(correct, total) == (tenths.numerator // tenths.denominator) / 10
 
 
 def test_accuracy_errors():
@@ -153,7 +163,7 @@ def test_run_experiment_reports_offending_file(synth_dataset, tmp_path):
     path = tmp_path / "broken.csv"
     save_manifest(DatasetManifest(entries=tuple(entries)), path)
     config = ExperimentConfig(manifest_path=str(path), train_variants=3, k=10)
-    with pytest.raises(DatasetFormatError, match="missing_image.pgm"):
+    with pytest.raises(FileNotFoundError, match="missing_image.pgm"):
         run_experiment(config)
 
 

@@ -9,12 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from dtpca import geometry, synthetic
-from dtpca.geometry import (
-    average_relative_area,
-    delaunay,
-    relative_areas,
-    triangle_area,
-)
+from dtpca.geometry import delaunay
+from oracles import average_relative_area, relative_areas, triangle_area
 
 
 # --- in_circumcircle -------------------------------------------------------

@@ -16,12 +16,11 @@ from dtpca.recognizer import (
     GalleryFormatError,
     TrainingRecord,
     build_gallery,
-    dt_difference,
-    fused_score,
     load_gallery,
     recognize,
     save_gallery,
 )
+from oracles import dt_difference, fused_score
 
 
 def one_pixel(v):
