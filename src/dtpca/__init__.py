@@ -6,7 +6,6 @@ from .dataset_io import (
     DatasetFormatError,
     DatasetManifest,
     ImageVector,
-    LandmarkSet,
     ManifestEntry,
     load_image,
     load_landmarks,

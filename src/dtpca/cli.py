@@ -9,6 +9,7 @@ are written atomically; nothing is written on failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -99,12 +100,7 @@ def _manifest_with_scheme_dir(manifest, scheme_dir):
         return manifest
     base = Path(scheme_dir)
     entries = tuple(
-        dataset_io.ManifestEntry(
-            image_path=e.image_path,
-            subject_id=e.subject_id,
-            variant=e.variant,
-            landmark_path=base / e.landmark_path.name,
-        )
+        dataclasses.replace(e, landmark_path=base / e.landmark_path.name)
         for e in manifest.entries
     )
     return dataset_io.DatasetManifest(entries=entries)

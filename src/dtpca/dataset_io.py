@@ -44,21 +44,6 @@ class ImageVector:
 
 
 @dataclass(frozen=True)
-class LandmarkSet:
-    """Ordered 2D landmark points for one image.
-
-    scheme is the declared landmark count label (68, 79, 194, ...).
-    """
-
-    points: np.ndarray
-    scheme: int
-
-    def __post_init__(self):
-        if len(self.points) < 3:
-            raise ValueError("a landmark set needs at least 3 points")
-
-
-@dataclass(frozen=True)
 class ManifestEntry:
     image_path: Path
     subject_id: str
@@ -149,12 +134,12 @@ def save_image(image: ImageVector, path) -> None:
     Path(path).write_bytes(header + raw.tobytes())
 
 
-def load_landmarks(path) -> LandmarkSet:
+def load_landmarks(path) -> np.ndarray:
     """Load a landmark CSV: one "x,y" decimal pair per line, no header.
 
-    The scheme label is the point count.  Rejects non-finite or subnormal
-    coordinates, files with fewer than 3 points, duplicate points, or all
-    points on one line.
+    Returns the points as a float64 (n, 2) array; n is the scheme label.
+    Rejects non-finite or subnormal coordinates, files with fewer than 3
+    points, duplicate points, or all points on one line.
     """
     path = Path(path)
     points = []
@@ -187,7 +172,7 @@ def load_landmarks(path) -> LandmarkSet:
         raise DatasetFormatError(f"{path}: duplicate landmark point")
     if _all_collinear(points):
         raise DatasetFormatError(f"{path}: all landmark points are collinear")
-    return LandmarkSet(points=np.array(points, dtype=float), scheme=len(points))
+    return np.array(points, dtype=float)
 
 
 def _all_collinear(points) -> bool:

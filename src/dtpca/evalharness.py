@@ -114,26 +114,30 @@ class ImageReader:
 
 
 def train_gallery(entries, k: int, with_landmarks: bool, read=None, model=None):
-    """Load the entries' images, fit the eigenmodel, build the gallery.
+    """Load the entries' images and landmarks, fit, build the gallery.
 
-    Returns (gallery, model).  All images are read before the fit and the
-    landmark files after it, only when with_landmarks is set.  `read`
-    (default: a fresh ImageReader) loads the images; a given `model` is
-    used instead of a fit.
+    Returns (gallery, model).  All images are read first, then the
+    landmark files (only when with_landmarks is set), so a bad file fails
+    before the fit.  `read` (default: a fresh ImageReader) loads the
+    images; a given `model` is used instead of a fit.
     """
     read = read or ImageReader()
     images = [read(e.image_path) for e in entries]
+    landmarks = [
+        dataset_io.load_landmarks(e.landmark_path) if with_landmarks else None
+        for e in entries
+    ]
     if model is None:
         model = eigenface.fit_eigenmodel(images, k)
     records = [
         recognizer.TrainingRecord(
             image=img,
-            landmarks=dataset_io.load_landmarks(e.landmark_path) if with_landmarks else None,
+            landmarks=lmk,
             subject_id=e.subject_id,
             variant=e.variant,
             source_path=str(e.image_path),
         )
-        for e, img in zip(entries, images)
+        for e, img, lmk in zip(entries, images, landmarks)
     ]
     try:
         return recognizer.build_gallery(model, records), model
@@ -209,7 +213,7 @@ def run_table(
                             mode=mode,
                             dt_divisor=dt_divisor,
                         )
-                    except ValueError as exc:
+                    except recognizer.LandmarkError as exc:
                         raise DatasetFormatError(f"{e.landmark_path}: {exc}") from None
                     if report.best_subject == e.subject_id:
                         correct += 1

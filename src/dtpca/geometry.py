@@ -139,15 +139,15 @@ def _static_bounds(xs, ys) -> tuple[float, float]:
     )
 
 
-def delaunay(landmarks) -> Triangulation:
-    """Delaunay-triangulate a landmark set and compute its area descriptors.
+def delaunay(points) -> Triangulation:
+    """Delaunay-triangulate landmark points and compute their area descriptors.
 
-    Accepts a LandmarkSet or any (n, 2) coordinate array.  The output is
-    deterministic: triangles are index triples in ascending order, listed
-    in sorted order.  Raises ValueError on duplicate points, when all
-    points are collinear, or when the areas overflow or all vanish.
+    Accepts any (n, 2) coordinate array.  The output is deterministic:
+    triangles are index triples in ascending order, listed in sorted
+    order.  Raises ValueError on duplicate points, when all points are
+    collinear, or when the areas overflow or all vanish.
     """
-    pts = np.asarray(getattr(landmarks, "points", landmarks), dtype=float)
+    pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("expected an (n, 2) coordinate array")
     n = len(pts)

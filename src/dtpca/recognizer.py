@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import eigenface, geometry
-from .dataset_io import ImageVector, LandmarkSet
+from .dataset_io import ImageVector
 from .eigenface import EigenModel
 
 DEFAULT_DT_DIVISOR = 0.001
@@ -41,9 +41,9 @@ class GalleryFormatError(ValueError):
 
 
 class LandmarkError(ValueError):
-    """Landmarks do not match the gallery's scheme (in build_gallery, the
-    first record's), or delaunay rejects them.  From build_gallery, `index`
-    is the rejected training record's."""
+    """Landmarks do not have the gallery's point count (in build_gallery,
+    the first record's), or delaunay rejects them.  From build_gallery,
+    `index` is the rejected training record's."""
 
     def __init__(self, message, index=None):
         super().__init__(message)
@@ -55,7 +55,7 @@ class TrainingRecord:
     """One training image with its landmarks and identity labels."""
 
     image: ImageVector
-    landmarks: LandmarkSet | None
+    landmarks: np.ndarray | None
     subject_id: str
     variant: str
     source_path: str = ""
@@ -108,9 +108,9 @@ def build_gallery(model: EigenModel, train) -> Gallery:
 
     Records without landmarks give a gallery with ra_avg None, which only
     supports pca_only matching.  All records must either have landmarks
-    with one common scheme, or none at all.  Landmarks whose scheme differs
-    from the first record's, or that delaunay rejects, raise LandmarkError
-    with the record's index.
+    with one common point count, the scheme, or none at all.  Landmarks
+    whose count differs from the first record's, or that delaunay rejects,
+    raise LandmarkError with the record's index.
     """
     records = list(train)
     if not records:
@@ -118,11 +118,11 @@ def build_gallery(model: EigenModel, train) -> Gallery:
     first = records[0].landmarks
     if any((r.landmarks is None) != (first is None) for r in records):
         raise ValueError("some training records are missing landmarks")
-    scheme = None if first is None else first.scheme
+    scheme = None if first is None else len(first)
     for index, rec in enumerate(records):
-        if rec.landmarks is not None and rec.landmarks.scheme != scheme:
+        if rec.landmarks is not None and len(rec.landmarks) != scheme:
             raise LandmarkError(
-                f"mixed landmark schemes in training set: {rec.landmarks.scheme} "
+                f"mixed landmark schemes in training set: {len(rec.landmarks)} "
                 f"points, the first record has {scheme}",
                 index,
             )
@@ -151,17 +151,17 @@ def recognize(
     gallery: Gallery,
     model: EigenModel,
     test_image: ImageVector,
-    test_landmarks: LandmarkSet | None = None,
+    test_landmarks: np.ndarray | None = None,
     mode: str = "dt_pca",
     dt_divisor: float = DEFAULT_DT_DIVISOR,
 ) -> MatchReport:
     """Score a test image against every gallery row and pick the argmin RV.
 
     In pca_only mode landmarks are ignored and D is reported as 0, so RV
-    equals ED.  In dt_pca mode the test landmarks are required and their
-    scheme must equal the gallery's; landmarks that do not fit the gallery
-    or cannot be triangulated raise LandmarkError.  Ties go to the lowest
-    row index.
+    equals ED.  In dt_pca mode the (n, 2) test landmarks are required and
+    n must equal the gallery's scheme; landmarks that do not fit the
+    gallery or cannot be triangulated raise LandmarkError.  Ties go to the
+    lowest row index.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -176,9 +176,9 @@ def recognize(
             raise ValueError("dt_pca mode requires test landmarks")
         if gallery.scheme is None:
             raise ValueError("gallery was built without landmarks; use pca_only")
-        if test_landmarks.scheme != gallery.scheme:
+        if len(test_landmarks) != gallery.scheme:
             raise LandmarkError(
-                f"landmark scheme mismatch: test {test_landmarks.scheme} "
+                f"landmark scheme mismatch: test {len(test_landmarks)} "
                 f"vs gallery {gallery.scheme}"
             )
         try:

@@ -17,7 +17,6 @@ from dtpca import cli, eigenface, evalharness, geometry, recognizer, synthetic
 from dtpca.dataset_io import (
     DatasetManifest,
     ImageVector,
-    LandmarkSet,
     ManifestEntry,
     load_image,
     load_landmarks,
@@ -264,9 +263,7 @@ def test_c08_fusion_audit_fixture():
         return ImageVector(width=1, height=1, values=np.array([v]))
 
     def fan(h):
-        return LandmarkSet(
-            points=np.array([(0.0, 0.0), (4.0, 0.0), (2.0, 3.0), (2.0, h)]), scheme=4
-        )
+        return np.array([(0.0, 0.0), (4.0, 0.0), (2.0, 3.0), (2.0, h)])
 
     def fan_ra_avg(h):
         areas = [2 * h, 3 - h, 3 - h]

@@ -4,7 +4,7 @@ import json
 import pytest
 
 import oracles
-from dtpca import cli, dataset_io
+from dtpca import cli, dataset_io, eigenface
 from dtpca.dataset_io import (
     DatasetManifest,
     load_landmarks,
@@ -46,7 +46,7 @@ def test_triangulate_68_point_count(capsys, synth_dataset):
     rc, out, err = run_cli(capsys, "triangulate", "--landmarks", str(path))
     assert rc == 0
     mesh = json.loads(out)
-    pts = load_landmarks(path).points
+    pts = load_landmarks(path)
     h = len(oracles.convex_hull_indices(pts))
     assert len(mesh["triangles"]) == 2 * 68 - h - 2
 
@@ -64,7 +64,7 @@ def test_triangulate_out_file(tmp_path, capsys, write_landmarks):
 
 
 def scaled_landmarks(synth_dataset, write_landmarks, factor=1e150):
-    pts = load_landmarks(synth_dataset["root"] / "landmarks68" / "s03_v2.csv").points
+    pts = load_landmarks(synth_dataset["root"] / "landmarks68" / "s03_v2.csv")
     return write_landmarks("scaled.csv", (pts * factor).tolist())
 
 
@@ -144,16 +144,23 @@ def test_train_single_image_rejected(tmp_path, capsys, synth_dataset):
     assert rc == 2
 
 
-def test_train_zero_variance_exits_3(tmp_path, capsys, synth_dataset):
+def same_image_manifest(tmp_path, synth_dataset, last_landmarks=None):
+    """Three entries of one image, so the fit finds zero variance; the last
+    entry's landmark file is `last_landmarks` when given."""
     src_root = synth_dataset["root"]
     img = f"{src_root}/images/s01_v1.pgm"
+    lmks = [f"{src_root}/landmarks68/s01_v1.csv"] * 3
+    lmks[-1] = last_landmarks or lmks[-1]
     manifest = tmp_path / "same.csv"
     manifest.write_text(
         "image_path,subject_id,variant,landmark_path\n"
-        + "".join(
-            f"{img},s01,v{i},{src_root}/landmarks68/s01_v1.csv\n" for i in range(3)
-        )
+        + "".join(f"{img},s01,v{i},{lmk}\n" for i, lmk in enumerate(lmks))
     )
+    return manifest
+
+
+def test_train_zero_variance_exits_3(tmp_path, capsys, synth_dataset):
+    manifest = same_image_manifest(tmp_path, synth_dataset)
     out = tmp_path / "g.json"
     rc, _, err = run_cli(
         capsys, "train", "--manifest", str(manifest), "--out", str(out)
@@ -183,7 +190,7 @@ def vanishing_manifest(tmp_path, synth_dataset, write_landmarks):
     manifest = load_manifest(synth_dataset["manifest"])
     entries = list(manifest.entries)
     k, e = next((k, e) for k, e in enumerate(entries) if (e.subject_id, e.variant) == ("s02", "v2"))
-    bad = write_landmarks("s02_v2.csv", (load_landmarks(e.landmark_path).points * 1e-166).tolist())
+    bad = write_landmarks("s02_v2.csv", (load_landmarks(e.landmark_path) * 1e-166).tolist())
     entries[k] = dataset_io.ManifestEntry(e.image_path, e.subject_id, e.variant, bad)
     path = tmp_path / "vanishing.csv"
     save_manifest(DatasetManifest(entries=tuple(entries)), path)
@@ -265,6 +272,37 @@ def test_missing_training_file_is_one_data_error_naming_it(
     # The OSError's own text, as recognize and triangulate print it.
     assert err == f"error: data: [Errno 2] No such file or directory: '{ghost}'\n"
     assert not (tmp_path / "g.gallery").exists()
+
+
+def test_train_missing_landmark_file_fails_before_the_fit(
+    capsys, tmp_path, synth_dataset, monkeypatch
+):
+    last = load_manifest(synth_dataset["manifest"]).entries[-1]
+    ghost = tmp_path / "ghost.csv"
+    manifest = edited_manifest(
+        synth_dataset["manifest"], tmp_path / "m.csv", last.subject_id, last.variant,
+        landmark_path=ghost,
+    )
+    fits = []
+    fit = eigenface.fit_eigenmodel
+    monkeypatch.setattr(
+        eigenface, "fit_eigenmodel", lambda *a: fits.append(a) or fit(*a)
+    )
+    rc, out, err = train_or_evaluate(capsys, "train", manifest, tmp_path)
+    assert rc == 2
+    assert err == f"error: data: [Errno 2] No such file or directory: '{ghost}'\n"
+    assert fits == []
+    assert not (tmp_path / "g.gallery").exists()
+
+
+def test_train_bad_landmark_file_outranks_zero_variance(tmp_path, capsys, synth_dataset):
+    # Identical images alone exit 3 (test_train_zero_variance_exits_3); the
+    # landmark files are read before the fit, so a missing one exits 2.
+    ghost = tmp_path / "ghost.csv"
+    manifest = same_image_manifest(tmp_path, synth_dataset, ghost)
+    rc, out, err = train_or_evaluate(capsys, "train", manifest, tmp_path)
+    assert rc == 2
+    assert err == f"error: data: [Errno 2] No such file or directory: '{ghost}'\n"
 
 
 # --- recognize --------------------------------------------------------------------

@@ -121,14 +121,15 @@ def test_image_vector_length_checked():
 def test_load_landmarks_triangle(write_landmarks):
     path = write_landmarks("t.csv", [(0, 0), (4, 0), (2, 3)])
     lmk = load_landmarks(path)
-    assert lmk.scheme == 3
-    assert lmk.points.tolist() == [[0, 0], [4, 0], [2, 3]]
+    assert type(lmk) is np.ndarray and lmk.dtype == np.float64
+    assert lmk.shape == (3, 2)
+    assert lmk.tolist() == [[0, 0], [4, 0], [2, 3]]
 
 
 def test_load_landmarks_68_scheme(write_landmarks):
     pts = [(float(i), float(i * i % 29)) for i in range(68)]
     path = write_landmarks("s68.csv", pts)
-    assert load_landmarks(path).scheme == 68
+    assert len(load_landmarks(path)) == 68
 
 
 def test_load_landmarks_collinear(write_landmarks):
@@ -191,21 +192,21 @@ def test_load_landmarks_subnormal(tmp_path, token):
 def test_load_landmarks_smallest_normal_and_zero(tmp_path):
     path = tmp_path / "normal.csv"
     path.write_text("0,1\n1,1.5\n2.2250738585072014e-308,-0.0\n")
-    assert load_landmarks(path).points[2].tolist() == [2.2250738585072014e-308, 0.0]
+    assert load_landmarks(path)[2].tolist() == [2.2250738585072014e-308, 0.0]
 
 
 def test_load_landmarks_crlf_and_decimals(tmp_path):
     path = tmp_path / "crlf.csv"
     path.write_bytes(b"0.5,0.25\r\n4.125,0\r\n2,3.75\r\n")
     lmk = load_landmarks(path)
-    assert lmk.points.tolist() == [[0.5, 0.25], [4.125, 0.0], [2.0, 3.75]]
+    assert lmk.tolist() == [[0.5, 0.25], [4.125, 0.0], [2.0, 3.75]]
 
 
 def test_load_landmarks_preserves_order(write_landmarks):
     pts = [(9, 1), (0, 0), (5, 5), (1, 8)]
     path = write_landmarks("ord.csv", pts)
     lmk = load_landmarks(path)
-    assert lmk.points.tolist() == [list(map(float, p)) for p in pts]
+    assert lmk.tolist() == [list(map(float, p)) for p in pts]
 
 
 # --- manifests and splitting ---------------------------------------------------

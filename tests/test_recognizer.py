@@ -9,7 +9,7 @@ from hypothesis import assume, given, strategies as st
 
 import oracles
 from dtpca import geometry
-from dtpca.dataset_io import ImageVector, LandmarkSet
+from dtpca.dataset_io import ImageVector
 from dtpca.eigenface import fit_eigenmodel, project
 from dtpca.recognizer import (
     GALLERY_ARRAYS,
@@ -34,9 +34,7 @@ def fan_landmarks(h):
     so the average relative area is analytically (2 + 2h/(3-h)) / 3 for
     h <= 1.
     """
-    return LandmarkSet(
-        points=np.array([(0.0, 0.0), (4.0, 0.0), (2.0, 3.0), (2.0, h)]), scheme=4
-    )
+    return np.array([(0.0, 0.0), (4.0, 0.0), (2.0, 3.0), (2.0, h)])
 
 
 def fan_ra_avg(h):
@@ -133,7 +131,7 @@ def test_build_gallery_empty_raises(flip_fixture):
 
 def test_build_gallery_mixed_schemes(flip_fixture):
     model, *_ = flip_fixture
-    other = LandmarkSet(points=np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]), scheme=3)
+    other = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     with pytest.raises(ValueError):
         build_gallery(
             model,
@@ -213,7 +211,7 @@ def test_vector_scores_equal_scalar_ops_bitwise(mode):
         return ImageVector(width, height, rng.uniform(0, 1, width * height))
 
     def landmarks():
-        return LandmarkSet(points=rng.uniform(0, 100, (12, 2)), scheme=12)
+        return rng.uniform(0, 100, (12, 2))
 
     records = [
         TrainingRecord(image(), landmarks(), f"s{i % 8}", f"v{i}", "") for i in range(n)
@@ -286,10 +284,7 @@ def test_dt_pca_requires_landmarks(flip_fixture):
 
 def test_scheme_mismatch_rejected(flip_fixture):
     model, gallery, test_image, _ = flip_fixture
-    other = LandmarkSet(
-        points=np.array([(0.0, 0.0), (4.0, 0.0), (2.0, 3.0), (2.0, 1.0), (1.0, 1.0)]),
-        scheme=5,
-    )
+    other = np.array([(0.0, 0.0), (4.0, 0.0), (2.0, 3.0), (2.0, 1.0), (1.0, 1.0)])
     with pytest.raises(ValueError):
         recognize(gallery, model, test_image, other, "dt_pca")
 
