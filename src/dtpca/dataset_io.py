@@ -1,7 +1,10 @@
 """Dataset ingestion: grayscale PGM images, landmark CSVs, and manifests.
 
-Images are 8-bit grayscale PGM (binary P5 or ASCII P2, maxval 255) and are
-flattened row-major with every pixel divided by exactly 255.  Landmarks are
+Images are 8-bit grayscale PGM (binary P5 or ASCII P2, maxval 255),
+flattened row-major and kept as their raw uint8 pixels, one byte each; a
+pixel's intensity is its value divided by exactly 255.  An ImageVector may
+instead hold float intensities, and ImageVector.normalized() is the single
+place the two representations meet.  Landmarks are
 one "x,y" pair per line.  A manifest CSV lists the images of a dataset with
 their subject id, variant label, and landmark file; train/test splitting is
 deterministic (first k variants per subject, in manifest order).
@@ -26,10 +29,13 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ImageVector:
-    """A grayscale image flattened to normalized intensities.
+    """A grayscale image flattened row-major.
 
-    values is row-major with length width * height; every entry is a raw
-    8-bit pixel divided by exactly 255, so it lies in [0, 1].
+    values is a 1-D array of length width * height in one of two
+    representations: raw 8-bit pixels (dtype uint8, as load_image returns
+    them; intensity = value / 255) or float intensities (any floating
+    dtype, as synthetic images and tests build them).  normalized() is the
+    single place the two meet.
     """
 
     width: int
@@ -37,10 +43,27 @@ class ImageVector:
     values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != self.width * self.height:
-            raise ValueError(
-                f"value count {len(self.values)} != {self.width}x{self.height}"
-            )
+        v = self.values
+        if not (
+            isinstance(v, np.ndarray)
+            and v.ndim == 1
+            and (v.dtype == np.uint8 or np.issubdtype(v.dtype, np.floating))
+        ):
+            raise ValueError("values must be a 1-D array of dtype uint8 or float")
+        if len(v) != self.width * self.height:
+            raise ValueError(f"value count {len(v)} != {self.width}x{self.height}")
+
+    def normalized(self, out=None) -> np.ndarray:
+        """The intensities as float64: uint8 pixels divided by exactly 255,
+        float values copied unchanged.  Written into `out` when given."""
+        if self.values.dtype == np.uint8:
+            # Divide rather than multiply by 1/255: the product rounds
+            # differently for 24 of the 256 pixel values.
+            return np.divide(self.values, 255.0, out=out)
+        if out is None:
+            return self.values.astype(np.float64)
+        out[:] = self.values
+        return out
 
 
 @dataclass(frozen=True)
@@ -90,7 +113,7 @@ def _read_pgm_tokens(data: bytes, path, count: int) -> tuple[list[bytes], int]:
 
 
 def load_image(path) -> ImageVector:
-    """Load an 8-bit grayscale PGM as a normalized row-major vector.
+    """Load an 8-bit grayscale PGM as its row-major uint8 pixels.
 
     Accepts binary P5 and ASCII P2 with maxval exactly 255.
     """
@@ -119,17 +142,26 @@ def load_image(path) -> ImageVector:
         if len(fields) < npix:
             raise DatasetFormatError(f"{path}: truncated pixel data")
         try:
-            raw = np.array([int(f) for f in fields[:npix]], dtype=np.int64)
+            pixels = [int(f) for f in fields[:npix]]
         except ValueError:
             raise DatasetFormatError(f"{path}: non-numeric pixel value") from None
-        if raw.min() < 0 or raw.max() > 255:
+        # Checked on Python ints before the cast, so a field beyond int64
+        # is out of range too.
+        if min(pixels) < 0 or max(pixels) > 255:
             raise DatasetFormatError(f"{path}: pixel value out of range")
-    return ImageVector(width=width, height=height, values=raw.astype(float) / 255.0)
+        raw = np.array(pixels, dtype=np.uint8)
+    return ImageVector(width=width, height=height, values=raw)
 
 
 def save_image(image: ImageVector, path) -> None:
-    """Write an ImageVector as binary P5, rounding values * 255 to integers."""
-    raw = np.clip(np.rint(np.asarray(image.values) * 255.0), 0, 255).astype(np.uint8)
+    """Write an ImageVector as binary P5.  uint8 values are written as they
+    are; float values are rounded from values * 255 and clipped to [0, 255].
+    Raises ValueError for a non-finite float value."""
+    raw = image.values
+    if raw.dtype != np.uint8:
+        if not np.all(np.isfinite(raw)):
+            raise ValueError("non-finite pixel value")
+        raw = np.clip(np.rint(raw * 255.0), 0, 255).astype(np.uint8)
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
     Path(path).write_bytes(header + raw.tobytes())
 

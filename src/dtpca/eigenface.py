@@ -62,9 +62,12 @@ def fit_eigenmodel(images: list[ImageVector], k: int) -> EigenModel:
         raise ValueError("need at least 2 training images")
     if len({(img.width, img.height) for img in images}) != 1:
         raise ValueError("images have mismatched dimensions")
-    # The fit's one n x d matrix: np.vstack makes a fresh copy, which is
-    # measured and centered in place; nothing else is n x d.
-    rows = np.vstack([np.asarray(img.values, dtype=float) for img in images])
+    # The fit's one n x d matrix: each image's intensities are written into
+    # its own row, which is measured and centered in place; nothing else is
+    # n x d.
+    rows = np.empty((len(images), images[0].width * images[0].height))
+    for img, row in zip(images, rows):
+        img.normalized(out=row)
     # Identical images leave only mean-rounding residue after centering;
     # compare the centered energy against the raw pixel energy.
     raw_energy = sum(float(r @ r) for r in rows)
@@ -115,4 +118,6 @@ def project(model: EigenModel, image: ImageVector) -> np.ndarray:
             f"image is {image.width}x{image.height}, "
             f"expected {model.width}x{model.height}"
         )
-    return model.eigenvectors @ (np.asarray(image.values, dtype=float) - model.mean)
+    x = image.normalized()
+    x -= model.mean
+    return model.eigenvectors @ x

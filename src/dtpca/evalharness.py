@@ -93,7 +93,8 @@ def accuracy(correct: int, total: int) -> float:
 
 
 class ImageReader:
-    """Reads each image file once and checks that all share one size."""
+    """Reads each image file once, keeping its uint8 pixels, and checks that
+    all share one size."""
 
     def __init__(self):
         self._images = {}

@@ -353,6 +353,21 @@ def test_recognize_wrong_image_size_names_the_image(
     assert err == f"error: data: {path}: image is {width}x{height}, expected 10x8\n"
 
 
+def test_recognize_p2_pixel_beyond_int64_exits_2(capsys, tmp_path, trained_gallery):
+    path = tmp_path / "big.pgm"
+    path.write_text("P2\n10 8\n255\n" + "0 " * 79 + "99999999999999999999\n")
+    rc, out, err = run_cli(
+        capsys,
+        "recognize",
+        "--gallery", str(trained_gallery),
+        "--image", str(path),
+        "--mode", "pca-only",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: data: {path}: pixel value out of range\n"
+
+
 def test_recognize_names_landmarks_of_another_scheme(capsys, tmp_path, scheme_manifests):
     gallery = tmp_path / "g8.gallery"
     rc, _, err = run_cli(capsys, "train", "--manifest", scheme_manifests[0], "--out", str(gallery))

@@ -1,4 +1,6 @@
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -24,13 +26,13 @@ def test_load_image_boundary_pixels(write_pgm):
     path = write_pgm("a.pgm", 1, 2, [255, 0])
     img = load_image(path)
     assert (img.width, img.height) == (1, 2)
-    assert img.values.tolist() == [1.0, 0.0]
+    assert img.normalized().tolist() == [1.0, 0.0]
 
 
 def test_load_image_51_is_exactly_point_two(write_pgm):
     path = write_pgm("b.pgm", 2, 2, [51, 51, 51, 51])
     img = load_image(path)
-    assert np.all(np.abs(img.values - 0.2) < 1e-12)
+    assert np.all(np.abs(img.normalized() - 0.2) < 1e-12)
 
 
 def test_load_image_yale_dimensions(write_pgm):
@@ -43,14 +45,14 @@ def test_load_image_ascii_p2(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_text("P2\n# comment\n2 2\n255\n0 255\n51 102\n")
     img = load_image(path)
-    assert img.values.tolist() == [0.0, 1.0, 51 / 255, 102 / 255]
+    assert img.normalized().tolist() == [0.0, 1.0, 51 / 255, 102 / 255]
 
 
 def test_load_image_header_comments(write_pgm, tmp_path):
     path = tmp_path / "d.pgm"
     path.write_bytes(b"P5\n# a comment\n1 1\n# another\n255\n\x7f")
     img = load_image(path)
-    assert img.values.tolist() == [127 / 255]
+    assert img.normalized().tolist() == [127 / 255]
 
 
 def test_load_image_missing_file(tmp_path):
@@ -92,8 +94,10 @@ def test_pgm_byte_round_trip(tmp_path_factory, pixels):
     path.write_bytes(header + bytes(pixels))
     img = load_image(path)
     out = tmp / "out.pgm"
-    save_image(img, out)
-    assert out.read_bytes() == path.read_bytes()
+    # The raw pixels, and their intensities rounded back from floats.
+    for saved in (img, ImageVector(img.width, img.height, img.normalized())):
+        save_image(saved, out)
+        assert out.read_bytes() == path.read_bytes()
 
 
 @given(
@@ -108,12 +112,87 @@ def test_image_save_reload_within_half_quantum(tmp_path_factory, values):
     path = tmp / "img.pgm"
     save_image(img, path)
     back = load_image(path)
-    assert np.all(np.abs(back.values - img.values) <= 1 / 510 + 1e-15)
+    assert np.all(np.abs(back.normalized() - img.values) <= 1 / 510 + 1e-15)
 
 
 def test_image_vector_length_checked():
     with pytest.raises(ValueError):
         ImageVector(width=2, height=2, values=np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "values", [np.zeros((2, 2)), np.zeros(2, dtype=np.int64)], ids=["2-D", "int64"]
+)
+def test_image_vector_rejects_other_representations(values):
+    # Both have len 2 == 2x1, so a length check alone would let them through.
+    with pytest.raises(ValueError, match="1-D array of dtype uint8 or float"):
+        ImageVector(width=2, height=1, values=values)
+
+
+@pytest.mark.parametrize("magic", ["P5", "P2"])
+def test_load_image_keeps_one_byte_per_pixel(tmp_path, magic):
+    pixels = [0, 1, 2, 253, 254, 255]
+    path = tmp_path / "raw.pgm"
+    header = f"{magic}\n3 2\n255\n".encode()
+    raster = bytes(pixels) if magic == "P5" else " ".join(map(str, pixels)).encode()
+    path.write_bytes(header + raster)
+    img = load_image(path)
+    assert img.values.dtype == np.uint8
+    assert img.values.nbytes == img.width * img.height == 6
+    assert img.values.tolist() == pixels
+
+
+def test_normalized_divides_every_pixel_value_by_255():
+    raw = np.arange(256, dtype=np.uint8)
+    img = ImageVector(width=16, height=16, values=raw)
+    expected = raw.astype(float) / 255.0
+    assert np.array_equal(img.normalized(), expected)
+    out = np.empty(256)
+    assert img.normalized(out=out) is out
+    assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_normalized_copies_float_values(dtype):
+    values = np.array([0.0, 0.25, 1.0, 0.1], dtype=dtype)
+    img = ImageVector(width=2, height=2, values=values.copy())
+    x = img.normalized()
+    assert x.dtype == np.float64 and np.array_equal(x, values.astype(np.float64))
+    x += 1.0
+    assert np.array_equal(img.values, values)
+    out = np.empty(4)
+    assert img.normalized(out=out) is out
+    assert np.array_equal(out, values.astype(np.float64))
+
+
+@pytest.mark.parametrize("field", ["99999999999999999999", "-99999999999999999999"])
+def test_load_image_p2_pixel_beyond_int64_is_out_of_range(tmp_path, field):
+    path = tmp_path / "big.pgm"
+    path.write_text(f"P2\n2 1\n255\n0 {field}\n")
+    with pytest.raises(DatasetFormatError, match="pixel value out of range"):
+        load_image(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_image_rejects_non_finite_values(tmp_path, bad):
+    path = tmp_path / "bad.pgm"
+    with pytest.raises(ValueError, match="non-finite pixel value"):
+        save_image(ImageVector(width=2, height=1, values=np.array([0.5, bad])), path)
+    assert not path.exists()
+
+
+def test_synthetic_images_are_pinned_bytes(synth_dataset):
+    # The generator writes float intensities through save_image; any change
+    # to its rounding, clipping or header changes this digest.
+    digest = hashlib.sha256()
+    paths = sorted((synth_dataset["root"] / "images").glob("*.pgm"))
+    for path in paths:
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert len(paths) == 20
+    assert digest.hexdigest() == (
+        "6ddd18f9786f22e686496085fbbd0b86e61dbf92ee495217b9f8571e1e44669e"
+    )
 
 
 # --- load_landmarks -----------------------------------------------------------

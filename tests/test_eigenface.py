@@ -156,6 +156,50 @@ def test_fit_peak_memory_below_two_image_matrices():
     assert peak < 1.45 * n * d * 8
 
 
+def test_fit_peak_memory_below_two_image_matrices_from_uint8():
+    # Raw pixels are divided straight into the n x d rows, so uint8 images
+    # cost the fit no float copy of their own.
+    n, d = 40, 64 * 48
+    rng = np.random.default_rng(40)
+    imgs = [image(rng.integers(0, 256, size=d, dtype=np.uint8)) for _ in range(n)]
+    tracemalloc.start()
+    try:
+        fit_eigenmodel(imgs, k=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.45 * n * d * 8
+
+
+def uint8_images_and_float_twins(seed, n, d):
+    rng = np.random.default_rng(seed)
+    raws = [rng.integers(0, 256, size=d, dtype=np.uint8) for _ in range(n)]
+    return [image(r) for r in raws], [image(r.astype(float) / 255.0) for r in raws]
+
+
+def test_uint8_images_fit_and_project_like_their_float_twins_bit_for_bit():
+    raw_imgs, float_imgs = uint8_images_and_float_twins(43, 9, 30)
+    m_raw, m_float = fit_eigenmodel(raw_imgs, k=6), fit_eigenmodel(float_imgs, k=6)
+    assert m_raw.k == m_float.k == 6
+    for name in ("mean", "eigenvectors", "eigenvalues"):
+        assert np.array_equal(getattr(m_raw, name), getattr(m_float, name)), name
+    for raw, flt in zip(raw_imgs, float_imgs):
+        assert np.array_equal(project(m_raw, raw), project(m_float, flt))
+
+
+@pytest.mark.parametrize("raw", [True, False], ids=["uint8", "float"])
+def test_fit_and_project_leave_images_unmodified(raw):
+    raw_imgs, float_imgs = uint8_images_and_float_twins(44, 8, 12)
+    imgs = raw_imgs if raw else float_imgs
+    before = [img.values.copy() for img in imgs]
+    m = fit_eigenmodel(imgs, k=5)
+    for img in imgs:
+        project(m, img)
+    for img, values in zip(imgs, before):
+        assert img.values.dtype == values.dtype
+        assert np.array_equal(img.values, values)
+
+
 def test_fit_centers_like_the_oracle_bit_for_bit():
     # Centering in place gives the bits of a separate `rows - mean`.
     imgs = random_images(42, 9, 30)
