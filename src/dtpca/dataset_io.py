@@ -20,8 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geometry
-
 
 class DatasetFormatError(ValueError):
     """A dataset file exists but its contents are not in the expected format."""
@@ -122,9 +120,11 @@ def load_image(path) -> ImageVector:
     if data[:2] not in (b"P5", b"P2"):
         raise DatasetFormatError(f"{path}: unsupported magic number {data[:2]!r}")
     magic = data[:2]
-    (w_tok, h_tok, max_tok), raster_pos = _read_pgm_tokens(data[2:], path, 3)
+    tokens, raster_pos = _read_pgm_tokens(data[2:], path, 3)
     try:
-        width, height, maxval = int(w_tok), int(h_tok), int(max_tok)
+        if not all(t.isdigit() for t in tokens):  # int() takes a sign or "_" too
+            raise ValueError
+        width, height, maxval = map(int, tokens)
     except ValueError:
         raise DatasetFormatError(f"{path}: non-numeric PGM header") from None
     if width <= 0 or height <= 0:
@@ -141,8 +141,13 @@ def load_image(path) -> ImageVector:
         fields = data[2 + raster_pos :].split()
         if len(fields) < npix:
             raise DatasetFormatError(f"{path}: truncated pixel data")
+        fields = fields[:npix]
         try:
-            pixels = [int(f) for f in fields[:npix]]
+            # Digits, or a minus sign that makes the value out of range; int()
+            # would also take a plus sign or "_".
+            if not all(f.removeprefix(b"-").isdigit() for f in fields):
+                raise ValueError
+            pixels = list(map(int, fields))
         except ValueError:
             raise DatasetFormatError(f"{path}: non-numeric pixel value") from None
         # Checked on Python ints before the cast, so a field beyond int64
@@ -169,9 +174,10 @@ def save_image(image: ImageVector, path) -> None:
 def load_landmarks(path) -> np.ndarray:
     """Load a landmark CSV: one "x,y" decimal pair per line, no header.
 
-    Returns the points as a float64 (n, 2) array; n is the scheme label.
-    Rejects non-finite or subnormal coordinates, files with fewer than 3
-    points, duplicate points, or all points on one line.
+    Returns the points as a float64 (n, 2) array, (0, 2) for an empty
+    file; n is the scheme label.  Checks each line only: two finite, not
+    subnormal coordinates.  Whether the set can be triangulated (at least
+    3 points, no duplicates, not all collinear) is delaunay's to decide.
     """
     path = Path(path)
     points = []
@@ -198,22 +204,7 @@ def load_landmarks(path) -> np.ndarray:
                     f"{path}:{lineno}: subnormal coordinate {line!r}"
                 )
             points.append((x, y))
-    if len(points) < 3:
-        raise DatasetFormatError(f"{path}: fewer than 3 landmark points")
-    if len(set(points)) != len(points):
-        raise DatasetFormatError(f"{path}: duplicate landmark point")
-    if _all_collinear(points):
-        raise DatasetFormatError(f"{path}: all landmark points are collinear")
-    return np.array(points, dtype=float)
-
-
-def _all_collinear(points) -> bool:
-    a = points[0]
-    rest = iter(points[1:])
-    b = next((p for p in rest if p != a), None)  # rest now starts after b
-    if b is None:
-        return True
-    return all(geometry.orientation(a, b, c) == 0 for c in rest)
+    return np.array(points, dtype=float).reshape(-1, 2)
 
 
 MANIFEST_HEADER = ["image_path", "subject_id", "variant", "landmark_path"]

@@ -117,33 +117,30 @@ class ImageReader:
 def train_gallery(entries, k: int, with_landmarks: bool, read=None, model=None):
     """Load the entries' images and landmarks, fit, build the gallery.
 
-    Returns (gallery, model).  All images are read first, then the
-    landmark files (only when with_landmarks is set), so a bad file fails
-    before the fit.  `read` (default: a fresh ImageReader) loads the
-    images; a given `model` is used instead of a fit.
+    Returns (gallery, model).  All images are read first, then (only when
+    with_landmarks is set) each landmark file is loaded and triangulated
+    once, in entry order, so a bad file fails before the fit.  `read`
+    (default: a fresh ImageReader) loads the images; a given `model` is
+    used instead of a fit.
     """
     read = read or ImageReader()
     images = [read(e.image_path) for e in entries]
-    landmarks = [
-        dataset_io.load_landmarks(e.landmark_path) if with_landmarks else None
-        for e in entries
-    ]
+    scheme = ra_avg = None
+    if with_landmarks:
+        try:
+            scheme, ra_avg = recognizer.landmark_descriptors(
+                dataset_io.load_landmarks(e.landmark_path) for e in entries
+            )
+        except recognizer.LandmarkError as exc:
+            raise DatasetFormatError(f"{entries[exc.index].landmark_path}: {exc}") from None
     if model is None:
         model = eigenface.fit_eigenmodel(images, k)
-    records = [
-        recognizer.TrainingRecord(
-            image=img,
-            landmarks=lmk,
-            subject_id=e.subject_id,
-            variant=e.variant,
-            source_path=str(e.image_path),
-        )
-        for e, img, lmk in zip(entries, images, landmarks)
-    ]
-    try:
-        return recognizer.build_gallery(model, records), model
-    except recognizer.LandmarkError as exc:
-        raise DatasetFormatError(f"{entries[exc.index].landmark_path}: {exc}") from None
+    # The gallery projects the images; the scheme and RA_avg are set above.
+    gallery = recognizer.build_gallery(model, [
+        recognizer.TrainingRecord(img, None, e.subject_id, e.variant, str(e.image_path))
+        for e, img in zip(entries, images)
+    ])
+    return replace(gallery, scheme=scheme, ra_avg=ra_avg), model
 
 
 def run_table(

@@ -112,15 +112,6 @@ def _sign(det, *coords) -> int:
     return (value > 0) - (value < 0)
 
 
-def orientation(a, b, c) -> int:
-    """Exact orientation of (a, b, c): 1 counterclockwise, -1 clockwise,
-    0 collinear."""
-    return _sign(
-        _orient_det,
-        float(a[0]), float(a[1]), float(b[0]), float(b[1]), float(c[0]), float(c[1]),
-    )
-
-
 def _static_bounds(xs, ys) -> tuple[float, float]:
     """Orientation and in-circle error bounds for any points of xs, ys
     (Devillers and Pion, "Efficient exact geometric predicates for Delaunay

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,9 +40,9 @@ class GalleryFormatError(ValueError):
 
 
 class LandmarkError(ValueError):
-    """Landmarks do not have the gallery's point count (in build_gallery,
-    the first record's), or delaunay rejects them.  From build_gallery,
-    `index` is the rejected training record's."""
+    """Landmarks that delaunay rejects, or whose point count is not the
+    scheme: the gallery's in recognize, the first set's in
+    landmark_descriptors, where `index` is the rejected set's."""
 
     def __init__(self, message, index=None):
         super().__init__(message)
@@ -103,14 +102,40 @@ class MatchReport:
         }
 
 
-def build_gallery(model: EigenModel, train) -> Gallery:
-    """Project every training record and triangulate its landmarks.
+def landmark_descriptors(sets) -> tuple[int | None, np.ndarray]:
+    """The scheme and the (n,) RA_avg array of n training landmark sets.
 
-    Records without landmarks give a gallery with ra_avg None, which only
-    supports pca_only matching.  All records must either have landmarks
-    with one common point count, the scheme, or none at all.  Landmarks
-    whose count differs from the first record's, or that delaunay rejects,
-    raise LandmarkError with the record's index.
+    The scheme is the first set's point count (None for no sets).  Each
+    set is checked and triangulated in turn, so `sets` may be a generator
+    that loads them; the first set with another point count, or that
+    delaunay rejects, raises LandmarkError with its index.
+    """
+    scheme = None
+    ra_avg = []
+    for index, points in enumerate(sets):
+        if scheme is None:
+            scheme = len(points)
+        elif len(points) != scheme:
+            raise LandmarkError(
+                f"mixed landmark schemes in training set: {len(points)} "
+                f"points, the first record has {scheme}",
+                index,
+            )
+        try:
+            ra_avg.append(geometry.delaunay(points).average_relative_area)
+        except ValueError as exc:
+            raise LandmarkError(str(exc), index) from None
+    return scheme, np.array(ra_avg, dtype=float)
+
+
+def build_gallery(model: EigenModel, train) -> Gallery:
+    """Describe the training records' landmarks, then project every image.
+
+    Either every record has landmarks or none does.  Landmarks go through
+    landmark_descriptors before any image is projected, so its
+    LandmarkError carries the rejected record's index.  Records without
+    landmarks give a gallery with scheme and ra_avg None, which only
+    supports pca_only matching.
     """
     records = list(train)
     if not records:
@@ -118,32 +143,19 @@ def build_gallery(model: EigenModel, train) -> Gallery:
     first = records[0].landmarks
     if any((r.landmarks is None) != (first is None) for r in records):
         raise ValueError("some training records are missing landmarks")
-    scheme = None if first is None else len(first)
-    for index, rec in enumerate(records):
-        if rec.landmarks is not None and len(rec.landmarks) != scheme:
-            raise LandmarkError(
-                f"mixed landmark schemes in training set: {len(rec.landmarks)} "
-                f"points, the first record has {scheme}",
-                index,
-            )
+    scheme = ra_avg = None
+    if first is not None:
+        scheme, ra_avg = landmark_descriptors(r.landmarks for r in records)
     # One projection per image, not one matmul over all of them: a batched
     # product can round differently, and a self-match must give RV == 0.
-    coords = []
-    ra_avg = []
-    for rec in records:
-        coords.append(eigenface.project(model, rec.image))
-        if rec.landmarks is not None:
-            try:
-                ra_avg.append(geometry.delaunay(rec.landmarks).average_relative_area)
-            except ValueError as exc:
-                raise LandmarkError(str(exc), len(ra_avg)) from None
+    coords = [eigenface.project(model, rec.image) for rec in records]
     return Gallery(
         scheme=scheme,
         subjects=tuple(r.subject_id for r in records),
         variants=tuple(r.variant for r in records),
         sources=tuple(r.source_path for r in records),
         coords=np.array(coords, dtype=float),
-        ra_avg=np.array(ra_avg, dtype=float) if ra_avg else None,
+        ra_avg=ra_avg,
     )
 
 
@@ -213,9 +225,12 @@ def recognize(
 
 @contextmanager
 def _atomic_open(path, mode: str):
-    """A temp file renamed to path on success, so failures leave no partial file."""
+    """A temp file renamed to path on success, so failures leave no partial
+    file.  It is created with mode 0o666 less the umask, as open() would
+    create it; mkstemp would give 0o600."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, mode) as fh:
             yield fh

@@ -12,6 +12,8 @@ fitted model's coordinates.  The scalar formula chain is kept here as a
 reference for the arithmetic `delaunay` and `recognize` run inline:
 `triangle_area` (Heron), `relative_areas` and `average_relative_area`
 (RA_avg), `dt_difference` (D) and `fused_score` (RV = ED + D / dt_divisor).
+Images enter the eigenspace oracles through `ImageVector.normalized()`, the
+package's one definition of a pixel's intensity.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from dtpca.dataset_io import ImageVector
 from dtpca.geometry import _incircle_det, _orient_det, _sign
 from dtpca.recognizer import DEFAULT_DT_DIVISOR
 
@@ -219,13 +222,21 @@ def in_general_position(points):
     )
 
 
+def intensities(image) -> np.ndarray:
+    """An image's float intensities: ImageVector.normalized() (uint8 pixels
+    over 255), or a plain array as given."""
+    if isinstance(image, ImageVector):
+        return image.normalized()
+    return np.asarray(image, dtype=float)
+
+
 def covariance_eigenspace(images, k=None):
     """Direct d x d covariance eigendecomposition of centered image rows.
 
     Returns (mean, eigenvalues, eigenvectors-as-rows) with descending
     eigenvalues, truncated to the numerical rank (or to k if given).
     """
-    rows = np.vstack([np.asarray(getattr(i, "values", i), dtype=float) for i in images])
+    rows = np.vstack([intensities(i) for i in images])
     n = len(rows)
     mean = rows.mean(axis=0)
     centered = rows - mean
@@ -238,7 +249,7 @@ def covariance_eigenspace(images, k=None):
 
 
 def _as_rows(images):
-    rows = [np.asarray(getattr(img, "values", img), dtype=float) for img in images]
+    rows = [intensities(img) for img in images]
     if not rows:
         raise ValueError("empty image set")
     d = len(rows[0])
@@ -262,8 +273,7 @@ def center_images(images, mean) -> np.ndarray:
 
 
 def project_oracle(mean, eigvec_rows, image):
-    values = np.asarray(getattr(image, "values", image), dtype=float)
-    return eigvec_rows @ (values - mean)
+    return eigvec_rows @ (intensities(image) - mean)
 
 
 def reconstruct(model, coords) -> np.ndarray:

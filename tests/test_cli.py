@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import stat
 
 import pytest
 
@@ -39,6 +41,26 @@ def test_triangulate_collinear_names_file(tmp_path, capsys, write_landmarks):
     assert rc == 2
     assert err.startswith("error: data:")
     assert "col.csv" in err
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([(0, 0), (1, 2), (1, 2), (3, 1)], "duplicate point (1.0, 2.0)"),
+        ([(0, 0), (1, 1), (2, 2)], "all points are collinear"),
+        ([(0, 0), (1, 1)], "need at least 3 points to triangulate"),
+    ],
+    ids=["duplicate", "collinear", "too_few"],
+)
+def test_triangulate_rejects_unmeshable_landmarks(
+    capsys, write_landmarks, points, message
+):
+    # load_landmarks reads these sets unchanged; delaunay rejects them.
+    path = write_landmarks("set.csv", points)
+    rc, out, err = run_cli(capsys, "triangulate", "--landmarks", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: data: {path}: {message}\n"
 
 
 def test_triangulate_68_point_count(capsys, synth_dataset):
@@ -305,6 +327,57 @@ def test_train_bad_landmark_file_outranks_zero_variance(tmp_path, capsys, synth_
     assert err == f"error: data: [Errno 2] No such file or directory: '{ghost}'\n"
 
 
+def bad_training_landmarks(kind, points):
+    """A training landmark file's 68 points made unusable by kind, and the
+    start of the message that rejects them."""
+    return {
+        "duplicate": ([*points[:5], points[3], *points[6:]], "duplicate point ("),
+        "collinear": ([(i, 2 * i) for i in range(68)], "all points are collinear"),
+        "two_points": (points[:2], "mixed landmark schemes in training set: 2 points"),
+        "other_scheme": (points[:9], "mixed landmark schemes in training set: 9 points"),
+        "overflow": ([(x * 1e150, y * 1e150) for x, y in points], "non-finite triangle area"),
+    }[kind]
+
+
+@pytest.mark.parametrize("images", ["distinct", "identical"])
+@pytest.mark.parametrize(
+    "kind", ["duplicate", "collinear", "two_points", "other_scheme", "overflow"]
+)
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_bad_training_landmark_file_exits_2_before_the_fit(
+    capsys, tmp_path, synth_dataset, write_landmarks, monkeypatch, command, kind, images
+):
+    # s02_v2 trains in both commands.  Every landmark file is triangulated
+    # before the fit, so no fit runs, and with identical images a bad file
+    # still exits 2 rather than 3 for zero variance.
+    manifest = load_manifest(synth_dataset["manifest"])
+    src = landmark_path_of(synth_dataset["manifest"], "s02", "v2")
+    points, message = bad_training_landmarks(kind, load_landmarks(src).tolist())
+    bad = write_landmarks("bad.csv", points)
+    one_image = manifest.entries[0].image_path
+    entries = tuple(
+        dataclasses.replace(
+            e,
+            image_path=one_image if images == "identical" else e.image_path,
+            landmark_path=bad if e.landmark_path == src else e.landmark_path,
+        )
+        for e in manifest.entries
+    )
+    path = tmp_path / "m.csv"
+    save_manifest(DatasetManifest(entries=entries), path)
+    fits = []
+    fit = eigenface.fit_eigenmodel
+    monkeypatch.setattr(
+        eigenface, "fit_eigenmodel", lambda *a: fits.append(a) or fit(*a)
+    )
+    rc, out, err = train_or_evaluate(capsys, command, path, tmp_path)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: data: {bad}: {message}")
+    assert fits == []
+    assert not (tmp_path / "g.gallery").exists()
+
+
 # --- recognize --------------------------------------------------------------------
 
 @pytest.fixture
@@ -366,6 +439,43 @@ def test_recognize_p2_pixel_beyond_int64_exits_2(capsys, tmp_path, trained_galle
     assert rc == 2
     assert out == ""
     assert err == f"error: data: {path}: pixel value out of range\n"
+
+
+@pytest.mark.parametrize("field", ["+7", "2_55", "-+7"])
+def test_recognize_p2_pixel_of_other_than_digits_exits_2(
+    capsys, tmp_path, trained_gallery, field
+):
+    # int() accepts a sign and digit-group underscores; netpbm does not.
+    path = tmp_path / "signed.pgm"
+    path.write_text("P2\n10 8\n255\n" + "0 " * 79 + f"{field}\n")
+    rc, out, err = run_cli(
+        capsys,
+        "recognize",
+        "--gallery", str(trained_gallery),
+        "--image", str(path),
+        "--mode", "pca-only",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: data: {path}: non-numeric pixel value\n"
+
+
+@pytest.mark.parametrize("header", ["+10 8 255", "10 8 2_55", "10 -8 255"])
+def test_recognize_pgm_header_of_other_than_digits_exits_2(
+    capsys, tmp_path, trained_gallery, header
+):
+    path = tmp_path / "signed.pgm"
+    path.write_bytes(f"P5\n{header}\n".encode() + bytes(80))
+    rc, out, err = run_cli(
+        capsys,
+        "recognize",
+        "--gallery", str(trained_gallery),
+        "--image", str(path),
+        "--mode", "pca-only",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: data: {path}: non-numeric PGM header\n"
 
 
 def test_recognize_names_landmarks_of_another_scheme(capsys, tmp_path, scheme_manifests):
@@ -729,6 +839,34 @@ def test_evaluate_split_range_checks_every_manifest_first(
     assert rc == 1
     assert out == ""
     assert err.startswith("error: usage:") and str(short) in err
+
+
+# --- output files -----------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+)
+@pytest.mark.parametrize("command", ["train", "triangulate", "evaluate"])
+def test_output_file_mode_follows_the_umask(
+    capsys, tmp_path, synth_dataset, command, umask, mode
+):
+    # Written through a temp file and a rename, the file gets the mode a
+    # plain open() would give it, not the temp file's 0o600.
+    out = tmp_path / "out"
+    manifest = str(synth_dataset["manifest"])
+    argv = {
+        "train": ["--manifest", manifest],
+        "triangulate": ["--landmarks", str(landmark_path_of(manifest, "s01", "v1"))],
+        "evaluate": ["--manifest", manifest, "--train-variants", "3",
+                     "--modes", "pca-only", "--report", "csv"],
+    }[command]
+    previous = os.umask(umask)
+    try:
+        rc, _, err = run_cli(capsys, command, *argv, "--out", str(out))
+    finally:
+        os.umask(previous)
+    assert rc == 0, err
+    assert stat.S_IMODE(out.stat().st_mode) == mode
 
 
 # --- usage handling ------------------------------------------------------------------

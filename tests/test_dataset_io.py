@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dtpca import geometry
 from dtpca.dataset_io import (
     DatasetFormatError,
     DatasetManifest,
@@ -211,38 +210,28 @@ def test_load_landmarks_68_scheme(write_landmarks):
     assert len(load_landmarks(path)) == 68
 
 
-def test_load_landmarks_collinear(write_landmarks):
-    path = write_landmarks("col.csv", [(0, 0), (1, 1), (2, 2)])
-    with pytest.raises(DatasetFormatError):
-        load_landmarks(path)
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0, 0), (1, 2), (1, 2), (3, 1)],
+        [(0, 0), (1, 1), (2, 2)],
+        [(0, 0), (1, 1)],
+    ],
+    ids=["duplicate", "collinear", "two"],
+)
+def test_load_landmarks_leaves_set_checks_to_delaunay(write_landmarks, points):
+    # Sets that delaunay rejects load unchanged; see
+    # test_triangulate_rejects_unmeshable_landmarks for the rejection.
+    lmk = load_landmarks(write_landmarks("set.csv", points))
+    assert lmk.dtype == np.float64
+    assert lmk.tolist() == [list(map(float, p)) for p in points]
 
 
-def test_load_landmarks_collinearity_check_counts_exact_orientations(
-    write_landmarks, monkeypatch
-):
-    # The check tests each point against its first two distinct points a, b,
-    # skipping b itself, and stops at the first turn.  Each test is one
-    # exact orientation.
-    signs = []
-    sign = geometry._sign
-    monkeypatch.setattr(geometry, "_sign", lambda *c: signs.append(c) or sign(*c))
-    load_landmarks(write_landmarks("plain.csv", [(0, 0), (4, 0), (2, 3), (1, 1)]))
-    assert len(signs) == 1
-    signs.clear()
-    load_landmarks(write_landmarks("kink.csv", [(0, 0), (1, 1), (2, 2), (3, 0)]))
-    assert len(signs) == 2  # (0, 0), (1, 1), (2, 2) is exactly collinear
-
-
-def test_load_landmarks_too_few(write_landmarks):
-    path = write_landmarks("two.csv", [(0, 0), (1, 1)])
-    with pytest.raises(DatasetFormatError):
-        load_landmarks(path)
-
-
-def test_load_landmarks_duplicate(write_landmarks):
-    path = write_landmarks("dup.csv", [(0, 0), (1, 2), (1, 2), (3, 1)])
-    with pytest.raises(DatasetFormatError):
-        load_landmarks(path)
+def test_load_landmarks_empty_file_is_zero_by_two(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("\n\n")
+    lmk = load_landmarks(path)
+    assert lmk.dtype == np.float64 and lmk.shape == (0, 2)
 
 
 def test_load_landmarks_unparsable(tmp_path):

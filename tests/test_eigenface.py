@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from dtpca.dataset_io import ImageVector
+from dtpca.dataset_io import ImageVector, load_image, load_manifest
 from dtpca.eigenface import ImageSizeError, ZeroVarianceError, fit_eigenmodel, project
 from dtpca.recognizer import (
     GalleryFormatError,
@@ -313,6 +313,26 @@ def test_snapshot_matches_covariance_oracle():
                 dm = oracles.eigen_distance(coords_m[i], coords_m[j])
                 do = np.linalg.norm(coords_o[i] - coords_o[j])
                 assert dm == pytest.approx(do, rel=1e-6)
+
+
+def test_covariance_oracle_reads_loaded_pgms_as_intensities(synth_dataset):
+    # Loaded images hold uint8 pixels; the oracle must see value / 255, as
+    # the fit does, not the raw 0..255.
+    imgs = [load_image(e.image_path) for e in load_manifest(synth_dataset["manifest"]).entries]
+    assert all(img.values.dtype == np.uint8 for img in imgs)
+    model = fit_eigenmodel(imgs, k=25)
+    assert np.array_equal(model.mean, oracles.mean_image(imgs))
+    mean_o, lam_o, vecs_o = oracles.covariance_eigenspace(imgs)
+    assert np.allclose(model.mean, mean_o, rtol=0, atol=1e-12)
+    assert model.k == len(lam_o)
+    assert np.allclose(model.eigenvalues, lam_o, rtol=1e-8)
+    coords_m = [project(model, i) for i in imgs]
+    coords_o = [oracles.project_oracle(mean_o, vecs_o, i) for i in imgs]
+    for i in range(len(imgs)):
+        for j in range(i + 1, len(imgs)):
+            dm = oracles.eigen_distance(coords_m[i], coords_m[j])
+            do = np.linalg.norm(coords_o[i] - coords_o[j])
+            assert dm == pytest.approx(do, rel=1e-6)
 
 
 def test_orthonormality_residuals():

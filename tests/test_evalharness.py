@@ -5,9 +5,10 @@ import math
 import shutil
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from dtpca import dataset_io, eigenface
+from dtpca import dataset_io, eigenface, geometry, recognizer
 from dtpca.dataset_io import load_manifest, save_manifest
 from dtpca.evalharness import (
     AccuracyRow,
@@ -19,6 +20,7 @@ from dtpca.evalharness import (
     render_text_report,
     run_experiment,
     run_table,
+    train_gallery,
 )
 
 
@@ -176,6 +178,41 @@ def test_run_experiment_deterministic(synth_dataset):
     assert t1 == t2
     assert render_csv_report(t1) == render_csv_report(t2)
     assert render_text_report(t1) == render_text_report(t2)
+
+
+# --- train_gallery ---------------------------------------------------------------
+
+@pytest.mark.parametrize("fitted", [False, True], ids=["fit", "given_model"])
+def test_train_gallery_triangulates_each_landmark_file_once_before_the_fit(
+    synth_dataset, monkeypatch, fitted
+):
+    entries = load_manifest(synth_dataset["manifest"]).entries
+    images = [dataset_io.load_image(e.image_path) for e in entries]
+    landmarks = [dataset_io.load_landmarks(e.landmark_path) for e in entries]
+    given = eigenface.fit_eigenmodel(images, 10) if fitted else None
+    events = []
+    delaunay, fit = geometry.delaunay, eigenface.fit_eigenmodel
+    monkeypatch.setattr(
+        geometry, "delaunay", lambda p: events.append(p.tolist()) or delaunay(p)
+    )
+    monkeypatch.setattr(
+        eigenface, "fit_eigenmodel", lambda *a: events.append("fit") or fit(*a)
+    )
+    gallery, model = train_gallery(entries, 10, True, model=given)
+    assert events == [p.tolist() for p in landmarks] + ([] if fitted else ["fit"])
+
+    # The same gallery as build_gallery on records that carry landmarks.
+    monkeypatch.undo()
+    built = recognizer.build_gallery(model, [
+        recognizer.TrainingRecord(img, lmk, e.subject_id, e.variant, str(e.image_path))
+        for e, img, lmk in zip(entries, images, landmarks)
+    ])
+    assert gallery.scheme == built.scheme == 68
+    assert (gallery.subjects, gallery.variants, gallery.sources) == (
+        built.subjects, built.variants, built.sources
+    )
+    assert np.array_equal(gallery.coords, built.coords)
+    assert np.array_equal(gallery.ra_avg, built.ra_avg)
 
 
 # --- run_table -------------------------------------------------------------------
