@@ -120,8 +120,8 @@ def cmd_train(args) -> int:
 
 
 def _check_dt_divisor(value: float) -> None:
-    if not 0 < value < math.inf:
-        raise UsageError(f"--dt-divisor must be positive and finite, got {value}")
+    if not sys.float_info.min <= value < math.inf:
+        raise UsageError(f"--dt-divisor must be finite and >= {sys.float_info.min}, got {value}")
 
 
 def cmd_recognize(args) -> int:

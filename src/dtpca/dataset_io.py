@@ -171,6 +171,15 @@ def save_image(image: ImageVector, path) -> None:
     Path(path).write_bytes(header + raw.tobytes())
 
 
+def _read_lines(path: Path) -> list[str]:
+    """A UTF-8 text file's lines, whatever the locale; a decode error names it."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None
+
+
 def load_landmarks(path) -> np.ndarray:
     """Load a landmark CSV: one "x,y" decimal pair per line, no header.
 
@@ -181,29 +190,22 @@ def load_landmarks(path) -> np.ndarray:
     """
     path = Path(path)
     points = []
-    with open(path, "r", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DatasetFormatError(f"{path}:{lineno}: expected 'x,y'")
-            try:
-                x, y = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: unparsable coordinate {line!r}"
-                ) from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: non-finite coordinate {line!r}"
-                )
-            if 0 < abs(x) < sys.float_info.min or 0 < abs(y) < sys.float_info.min:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: subnormal coordinate {line!r}"
-                )
-            points.append((x, y))
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise DatasetFormatError(f"{path}:{lineno}: expected 'x,y'")
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise DatasetFormatError(f"{path}:{lineno}: unparsable coordinate {line!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DatasetFormatError(f"{path}:{lineno}: non-finite coordinate {line!r}")
+        if 0 < abs(x) < sys.float_info.min or 0 < abs(y) < sys.float_info.min:
+            raise DatasetFormatError(f"{path}:{lineno}: subnormal coordinate {line!r}")
+        points.append((x, y))
     return np.array(points, dtype=float).reshape(-1, 2)
 
 
@@ -218,30 +220,27 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     base = path.parent
     entries = []
-    with open(path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetFormatError(f"{path}: empty manifest") from None
-        if header != MANIFEST_HEADER:
-            raise DatasetFormatError(
-                f"{path}: manifest header must be {','.join(MANIFEST_HEADER)}"
+    reader = csv.reader(_read_lines(path))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DatasetFormatError(f"{path}: empty manifest") from None
+    if header != MANIFEST_HEADER:
+        raise DatasetFormatError(f"{path}: manifest header must be {','.join(MANIFEST_HEADER)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise DatasetFormatError(f"{path}:{lineno}: expected 4 columns")
+        img, subject, variant, lmk = (c.strip() for c in row)
+        entries.append(
+            ManifestEntry(
+                image_path=base / img,
+                subject_id=subject,
+                variant=variant,
+                landmark_path=base / lmk,
             )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DatasetFormatError(f"{path}:{lineno}: expected 4 columns")
-            img, subject, variant, lmk = (c.strip() for c in row)
-            entries.append(
-                ManifestEntry(
-                    image_path=base / img,
-                    subject_id=subject,
-                    variant=variant,
-                    landmark_path=base / lmk,
-                )
-            )
+        )
     manifest = DatasetManifest(entries=tuple(entries))
     _validate_manifest(manifest, path)
     return manifest
@@ -262,7 +261,7 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
     """Write a manifest CSV with paths relative to the target directory."""
     path = Path(path)
     base = path.parent
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(MANIFEST_HEADER)
         for e in manifest.entries:

@@ -51,8 +51,8 @@ def _check_inputs(train_variants, k, modes, dt_divisor) -> None:
         raise ValueError(f"duplicate train_variants: {list(train_variants)}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not 0 < dt_divisor < math.inf:
-        raise ValueError("dt_divisor must be positive and finite")
+    if not sys.float_info.min <= dt_divisor < math.inf:
+        raise ValueError(f"dt_divisor must be finite and >= {sys.float_info.min}")
     bad = [m for m in modes if m not in recognizer.MODES]
     if bad or not modes:
         raise ValueError(f"modes must be a non-empty subset of {recognizer.MODES}")

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,9 +29,9 @@ DEFAULT_DT_DIVISOR = 0.001
 
 MODES = ("pca_only", "dt_pca")
 
-GALLERY_FORMAT_VERSION = 2
+GALLERY_FORMAT_VERSION = 3
 
-# The float64 records that follow the header record, in file order.
+# The float64 arrays that follow the header line, in file order.
 GALLERY_ARRAYS = ("mean", "eigenvectors", "eigenvalues", "coords", "ra_avg")
 
 _RETRAIN = "re-run `dtpca train` to rebuild the gallery"
@@ -173,12 +175,13 @@ def recognize(
     equals ED.  In dt_pca mode the (n, 2) test landmarks are required and
     n must equal the gallery's scheme; landmarks that do not fit the
     gallery or cannot be triangulated raise LandmarkError.  Ties go to the
-    lowest row index.
+    lowest row index.  dt_divisor must be finite and at least the smallest
+    normal double: D < 1, so D / dt_divisor then stays finite.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if not 0 < dt_divisor < math.inf:
-        raise ValueError(f"dt_divisor must be positive and finite, got {dt_divisor}")
+    if not sys.float_info.min <= dt_divisor < math.inf:
+        raise ValueError(f"dt_divisor must be finite and >= {sys.float_info.min}, got {dt_divisor}")
     if not gallery.subjects:
         raise ValueError("empty gallery")
 
@@ -227,18 +230,24 @@ def recognize(
 def _atomic_open(path, mode: str):
     """A temp file renamed to path on success, so failures leave no partial
     file.  It is created with mode 0o666 less the umask, as open() would
-    create it; mkstemp would give 0o600."""
+    create it; mkstemp would give 0o600.  An OSError on the temp file names
+    path instead, so the message does not change from run to run."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, mode) as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, mode) as fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != str(tmp):
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -248,17 +257,19 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def save_gallery(gallery: Gallery, model: EigenModel, path) -> None:
-    """Write gallery + model as six .npy records in a row (atomic write).
+    """Write gallery + model as a format-3 gallery file (atomic write).
 
-    The first record is a uint8 JSON header; the rest are the float64
-    arrays named in GALLERY_ARRAYS.  The file lands at path as given, and
-    its bytes depend only on the gallery and model.  Requires a
-    landmark-complete gallery; a pca-only internal gallery has no file
-    representation.
+    One JSON header line, padded with spaces to a multiple of 64 bytes,
+    then the arrays named in GALLERY_ARRAYS as raw little-endian float64,
+    then the CRC-32 of every byte before it, 4 bytes little-endian.  Each
+    array is written and checksummed from its own buffer.  The file lands
+    at path as given, and its bytes depend only on the gallery and model.
+    Requires a landmark-complete gallery; a pca-only internal gallery has
+    no file representation.
     """
     if gallery.scheme is None or gallery.ra_avg is None:
         raise ValueError("cannot save a gallery built without landmarks")
-    header = {
+    header = json.dumps({
         "format_version": GALLERY_FORMAT_VERSION,
         "width": model.width,
         "height": model.height,
@@ -268,16 +279,17 @@ def save_gallery(gallery: Gallery, model: EigenModel, path) -> None:
         "subjects": list(gallery.subjects),
         "variants": list(gallery.variants),
         "sources": list(gallery.sources),
-    }
-    records = (
-        np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        model.mean, model.eigenvectors, model.eigenvalues, gallery.coords, gallery.ra_avg,
-    )
+    }).encode()
+    arrays = (model.mean, model.eigenvectors, model.eigenvalues, gallery.coords, gallery.ra_avg)
+    crc = 0
     with _atomic_open(path, "wb") as fh:
-        for record in records:
-            np.lib.format.write_array(
-                fh, np.ascontiguousarray(record), allow_pickle=False
-            )
+        for chunk in (
+            header + b" " * (-(len(header) + 1) % 64) + b"\n",
+            *(np.ascontiguousarray(a, dtype="<f8") for a in arrays),
+        ):
+            fh.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        fh.write(crc.to_bytes(4, "little"))
 
 
 def _positive_int(header: dict, key: str) -> int:
@@ -289,17 +301,19 @@ def _positive_int(header: dict, key: str) -> int:
     return value
 
 
-def _decode(raw: np.ndarray, arrays: list[np.ndarray]) -> tuple[Gallery, EigenModel]:
-    """Check the header and arrays against everything save_gallery writes;
-    raises ValueError naming the first violation."""
-    if raw.dtype != np.uint8 or raw.ndim != 1:
-        raise ValueError("the header record is not a uint8 vector")
-    header = json.loads(raw.tobytes().decode())
-    if not isinstance(header, dict):
-        raise ValueError("the header is not a JSON object")
-    version = _positive_int(header, "format_version")
-    if version != GALLERY_FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {version}; {_RETRAIN}")
+def _decode(data: bytes) -> tuple[Gallery, EigenModel]:
+    """Check a gallery file's bytes against everything save_gallery
+    writes; raises ValueError naming the first violation.  The arrays are
+    views of data."""
+    start = data.find(b"\n") + 1
+    try:
+        header = json.loads(data[:start])
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or header.get("format_version") != GALLERY_FORMAT_VERSION:
+        raise ValueError(f"not a version {GALLERY_FORMAT_VERSION} gallery file; {_RETRAIN}")
+    if zlib.crc32(memoryview(data)[:-4]) != int.from_bytes(data[-4:], "little"):
+        raise ValueError("checksum mismatch: the file is corrupt")
     width, height, k, requested_k, scheme = (
         _positive_int(header, key)
         for key in ("width", "height", "k", "requested_k", "scheme")
@@ -315,13 +329,17 @@ def _decode(raw: np.ndarray, arrays: list[np.ndarray]) -> tuple[Gallery, EigenMo
         raise ValueError("subjects, variants and sources must list n >= 1 strings each")
     d = width * height
     shapes = ((d,), (k, d), (k,), (n, k), (n,))
-    for name, a, shape in zip(GALLERY_ARRAYS, arrays, shapes):
-        if a.dtype != np.float64 or not a.flags.c_contiguous:
-            raise ValueError(f"{name} must be C-ordered float64 (dtype {a.dtype})")
-        if a.shape != shape:
-            raise ValueError(f"{name} has shape {a.shape}, the header implies {shape}")
+    # Checked before any view exists, so huge declared sizes allocate nothing.
+    size = start + 8 * sum(map(math.prod, shapes)) + 4
+    if len(data) != size:
+        raise ValueError(f"the file holds {len(data)} bytes, the header's shapes imply {size}")
+    arrays = []
+    for name, shape in zip(GALLERY_ARRAYS, shapes):
+        a = np.frombuffer(data, "<f8", math.prod(shape), start).reshape(shape)
         if not np.isfinite(a).all():
             raise ValueError(f"non-finite value in {name}")
+        arrays.append(a)
+        start += a.nbytes
     mean, eigenvectors, eigenvalues, coords, ra_avg = arrays
     if np.any(eigenvalues < 0) or np.any(np.diff(eigenvalues) > 0):
         raise ValueError("eigenvalues must be non-negative and non-increasing")
@@ -332,42 +350,19 @@ def _decode(raw: np.ndarray, arrays: list[np.ndarray]) -> tuple[Gallery, EigenMo
     return gallery, model
 
 
-def _read_record(fh, name: str, file_size: int) -> np.ndarray:
-    """The .npy record at fh's position.  Its header is checked first:
-    read_array allocates the declared shape before it reads, so a record
-    that declares more bytes than the file has left is rejected here.
-    save_gallery's headers are short, so write_array gives them version 1.0."""
-    start = fh.tell()
-    if np.lib.format.read_magic(fh) != (1, 0):
-        raise ValueError(f"the {name} record is not a version 1.0 .npy record")
-    shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
-    needed = math.prod(shape) * dtype.itemsize
-    if not dtype.hasobject and needed > file_size - fh.tell():
-        raise ValueError(f"truncated: the {name} record declares {needed} bytes")
-    fh.seek(start)
-    return np.lib.format.read_array(fh, allow_pickle=False)
-
-
 def load_gallery(path) -> tuple[Gallery, EigenModel]:
     """Load a gallery file; the reload reproduces matching bit-exactly.
 
-    Raises GalleryFormatError for any file save_gallery cannot have
-    written: a JSON gallery of format 1, a truncated or object record,
-    bytes after the sixth record, or a header or array that breaks the
-    format's rules.
+    The file is read once and its arrays are read-only views of those
+    bytes.  Raises GalleryFormatError for any file save_gallery cannot
+    have written: one of another format version (format-2 `.npy` records
+    and format-1 JSON included), a checksum mismatch, a length other than
+    the header implies, or a header or array that breaks the format's
+    rules.  The CRC-32 detects every single-bit error and every burst of
+    up to 32 bits; it does not protect against deliberate tampering.
     """
-    magic = np.lib.format.MAGIC_PREFIX
+    data = Path(path).read_bytes()
     try:
-        with open(path, "rb") as fh:
-            if fh.read(len(magic)) != magic:
-                raise ValueError(f"not a version 2 gallery file; {_RETRAIN}")
-            fh.seek(0)
-            file_size = os.fstat(fh.fileno()).st_size
-            raw, *arrays = (
-                _read_record(fh, name, file_size) for name in ("header", *GALLERY_ARRAYS)
-            )
-            if fh.read(1):
-                raise ValueError("trailing bytes after the last record")
-        return _decode(raw, arrays)
+        return _decode(data)
     except ValueError as exc:
         raise GalleryFormatError(f"{path}: {exc}") from None

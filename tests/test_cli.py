@@ -14,8 +14,15 @@ from dtpca.dataset_io import (
     save_manifest,
 )
 from dtpca.evalharness import render_csv_report, render_text_report
+from dtpca.recognizer import GALLERY_ARRAYS, GalleryFormatError, load_gallery
 from test_evalharness import per_cell_table
-from test_recognizer import V1_GALLERY, declare_huge_mean, edit_gallery, gallery_records
+from test_recognizer import (
+    V1_GALLERY,
+    declare_huge_mean,
+    edit_gallery,
+    gallery_records,
+    record_ends,
+)
 
 
 def run_cli(capsys, *argv):
@@ -109,6 +116,16 @@ def test_triangulate_subnormal_coordinate_exits_2(tmp_path, capsys):
     assert err.startswith("error: data:") and "tiny.csv:3: subnormal" in err
 
 
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"
+
+
+def test_triangulate_names_a_landmark_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"0,0\n\xff,0\n2,3\n")
+    rc, out, err = run_cli(capsys, "triangulate", "--landmarks", str(path))
+    assert (rc, out, err) == (2, "", f"error: data: {path}: {NOT_UTF8}\n")
+
+
 def test_triangulate_missing_file(tmp_path, capsys):
     rc, out, err = run_cli(
         capsys, "triangulate", "--landmarks", str(tmp_path / "none.csv")
@@ -130,7 +147,7 @@ def test_train_writes_gallery(tmp_path, capsys, synth_dataset):
     )
     assert rc == 0, err
     header, arrays = gallery_records(out)
-    assert header["format_version"] == 2
+    assert header["format_version"] == 3
     assert header["scheme"] == 68
     assert header["k"] <= 25 == header["requested_k"]
     assert len(header["subjects"]) == 20
@@ -526,7 +543,7 @@ def test_recognize_pca_only_ignores_landmarks(capsys, synth_dataset, trained_gal
     assert all(s["d"] == 0.0 for s in report["scores"])
 
 
-@pytest.mark.parametrize("divisor", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("divisor", ["0", "-1", "nan", "inf", "1e-310", "5e-324"])
 def test_recognize_rejects_bad_divisor(capsys, synth_dataset, trained_gallery, divisor):
     root = synth_dataset["root"]
     rc, out, err = run_cli(
@@ -576,7 +593,49 @@ def test_recognize_oversized_gallery_record_exits_2(
     )
     assert rc == 2
     assert out == ""
-    assert err.startswith(f"error: data: {corrupt}: truncated")
+    assert err.startswith(f"error: data: {corrupt}: the file holds ")
+
+
+def flip_bit(data, at):
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+def corrupt_gallery(data, ends, where):
+    """A gallery file's bytes with one bit flipped, or cut or extended."""
+    if where == "header":
+        # A letter of the first subject: the header still parses.
+        return flip_bit(data, data.index(b'"subjects": ["') + 14)
+    if where in GALLERY_ARRAYS:
+        # The lowest bit of the middle float: the value stays finite.
+        start, end = ends[GALLERY_ARRAYS.index(where):][:2]
+        return flip_bit(data, start + (end - start) // 16 * 8)
+    if where == "crc":
+        return flip_bit(data, len(data) - 4)
+    return {"truncated": data[:-1], "extended": data + b"\0"}[where]
+
+
+@pytest.mark.parametrize(
+    "where", ["header", *GALLERY_ARRAYS, "crc", "truncated", "extended"]
+)
+def test_recognize_corrupted_gallery_exits_2(
+    capsys, synth_dataset, trained_gallery, tmp_path, where
+):
+    # A flipped bit in coords or eigenvectors used to load and match.
+    corrupt = tmp_path / "corrupt.json"
+    data = trained_gallery.read_bytes()
+    corrupt.write_bytes(corrupt_gallery(data, record_ends(trained_gallery), where))
+    assert corrupt.read_bytes() != data
+    with pytest.raises(GalleryFormatError, match="checksum mismatch"):
+        load_gallery(corrupt)
+    rc, out, err = run_cli(
+        capsys,
+        "recognize",
+        "--gallery", str(corrupt),
+        "--image", str(synth_dataset["root"] / "images" / "s03_v2.pgm"),
+        "--mode", "pca-only",
+    )
+    assert (rc, out) == (2, "")
+    assert err == f"error: data: {corrupt}: checksum mismatch: the file is corrupt\n"
 
 
 def test_recognize_v1_gallery_exits_2(capsys, synth_dataset, tmp_path):
@@ -693,6 +752,21 @@ def test_evaluate_names_a_test_landmark_file_of_another_scheme(
     assert err == f"error: data: {bad}: landmark scheme mismatch: test 9 vs gallery 8\n"
 
 
+def test_evaluate_names_a_manifest_that_is_not_utf8(capsys, tmp_path, synth_dataset):
+    manifest = tmp_path / "manifest.csv"
+    data = synth_dataset["manifest"].read_bytes()
+    manifest.write_bytes(data[:4] + b"\xff" + data[5:])
+    rc, out, err = run_cli(
+        capsys,
+        "evaluate",
+        "--manifest", str(manifest),
+        "--train-variants", "3",
+        "--modes", "pca-only",
+        "--report", "text",
+    )
+    assert (rc, out, err) == (2, "", f"error: data: {manifest}: {NOT_UTF8}\n")
+
+
 def test_evaluate_csv_to_file(capsys, tmp_path, synth_dataset):
     out_path = tmp_path / "report.csv"
     rc, out, err = run_cli(
@@ -723,7 +797,7 @@ def test_evaluate_rejects_bad_modes(capsys, synth_dataset):
     assert err.startswith("error: usage:")
 
 
-@pytest.mark.parametrize("divisor", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("divisor", ["0", "-1", "nan", "inf", "1e-310", "5e-324"])
 def test_evaluate_rejects_bad_divisor(capsys, synth_dataset, divisor):
     rc, out, err = run_cli(
         capsys,
@@ -867,6 +941,30 @@ def test_output_file_mode_follows_the_umask(
         os.umask(previous)
     assert rc == 0, err
     assert stat.S_IMODE(out.stat().st_mode) == mode
+
+
+@pytest.mark.parametrize(
+    "target, error",
+    [("nodir/x.json", "[Errno 2] No such file or directory"), ("dir", "[Errno 21] Is a directory")],
+    ids=["missing-directory", "is-a-directory"],
+)
+@pytest.mark.parametrize("command", ["train", "triangulate", "evaluate"])
+def test_output_that_cannot_be_created_names_the_path(
+    capsys, tmp_path, synth_dataset, command, target, error
+):
+    # Used to name the random temp file, so stderr changed between runs.
+    (tmp_path / "dir").mkdir()
+    out = tmp_path / target
+    manifest = str(synth_dataset["manifest"])
+    argv = {
+        "train": ["--manifest", manifest],
+        "triangulate": ["--landmarks", str(landmark_path_of(manifest, "s01", "v1"))],
+        "evaluate": ["--manifest", manifest, "--train-variants", "3",
+                     "--modes", "pca-only", "--report", "csv"],
+    }[command]
+    runs = [run_cli(capsys, command, *argv, "--out", str(out)) for _ in range(2)]
+    assert runs[0] == runs[1] == (2, "", f"error: data: {error}: '{out}'\n")
+    assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
 
 
 # --- usage handling ------------------------------------------------------------------

@@ -69,7 +69,7 @@ def test_config_validation():
         ExperimentConfig(manifest_path="m", train_variants=0)
     with pytest.raises(ValueError):
         ExperimentConfig(manifest_path="m", train_variants=1, k=0)
-    for divisor in (0.0, -1.0, math.nan, math.inf):
+    for divisor in (0.0, -1.0, math.nan, math.inf, 1e-310, 5e-324):
         with pytest.raises(ValueError):
             ExperimentConfig(manifest_path="m", train_variants=1, dt_divisor=divisor)
     with pytest.raises(ValueError):

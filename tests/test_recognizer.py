@@ -1,7 +1,8 @@
 import json
 import math
-import pickle
 import time
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -259,7 +260,7 @@ def test_duplicate_entries_tie_to_lowest_index(mode):
     assert report.best_subject == "first"
 
 
-@pytest.mark.parametrize("divisor", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("divisor", [0.0, -1.0, math.nan, math.inf, 1e-310, 5e-324])
 @pytest.mark.parametrize("mode", ["pca_only", "dt_pca"])
 def test_recognize_rejects_bad_divisor(flip_fixture, mode, divisor):
     model, gallery, test_image, test_landmarks = flip_fixture
@@ -332,31 +333,45 @@ V1_GALLERY = (
 
 
 def gallery_records(path):
-    """The header dict and the named arrays of a gallery file."""
-    with open(path, "rb") as fh:
-        raw, *arrays = [np.lib.format.read_array(fh) for _ in range(1 + len(GALLERY_ARRAYS))]
-    return json.loads(raw.tobytes()), dict(zip(GALLERY_ARRAYS, arrays))
+    """The header dict and the named arrays (copies) of a format-3 gallery
+    file, read by the layout that README.md gives."""
+    data = path.read_bytes()
+    offset = data.index(b"\n") + 1
+    header = json.loads(data[:offset])
+    d, k, n = header["width"] * header["height"], header["k"], len(header["subjects"])
+    arrays = {}
+    for name, shape in zip(GALLERY_ARRAYS, [(d,), (k, d), (k,), (n, k), (n,)]):
+        count = math.prod(shape)
+        arrays[name] = np.frombuffer(data, "<f8", count, offset).reshape(shape).copy()
+        offset += 8 * count
+    return header, arrays
+
+
+def write_gallery(path, header, arrays):
+    """Write a format-3 file: the header as one line padded with spaces to
+    a multiple of 64 bytes, the arrays' raw bytes in the dict's order
+    whatever their dtype, then the CRC-32 of all that."""
+    line = json.dumps(header).encode()
+    body = line.ljust(64 * math.ceil((len(line) + 1) / 64) - 1) + b"\n"
+    body += b"".join(a.tobytes() for a in arrays.values())
+    path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
 
 
 def edit_gallery(path, edit):
     """Rewrite a gallery file after edit(header, arrays) has changed its
-    records in place; arrays are written in the dict's order, any layout
-    and dtype, objects pickled."""
+    header and arrays in place.  The CRC is recomputed, so the edit
+    reaches the checks that follow the checksum."""
     header, arrays = gallery_records(path)
     edit(header, arrays)
-    with open(path, "wb") as fh:
-        np.lib.format.write_array(fh, np.frombuffer(json.dumps(header).encode(), np.uint8))
-        for a in arrays.values():
-            np.lib.format.write_array(fh, a, allow_pickle=True)
+    write_gallery(path, header, arrays)
 
 
 def record_ends(path):
-    """The byte offset at which each of a gallery file's records ends."""
-    ends = []
-    with open(path, "rb") as fh:
-        for _ in range(1 + len(GALLERY_ARRAYS)):
-            np.lib.format.read_array(fh)
-            ends.append(fh.tell())
+    """The byte offsets at which a gallery file's header line and each of
+    its arrays end; the 4-byte CRC follows the last."""
+    ends = [path.read_bytes().index(b"\n") + 1]
+    for a in gallery_records(path)[1].values():
+        ends.append(ends[-1] + a.nbytes)
     return ends
 
 
@@ -455,54 +470,66 @@ def test_load_gallery_truncated_at_record(tmp_path, cut):
 
 
 def declare_huge_mean(path):
-    """Rewrite a gallery file so that its mean record's header declares
-    shape (10**13,), 80 TB, ahead of the record's real data."""
-    data = path.read_bytes()
-    header_end = record_ends(path)[0]
-    with open(path, "wb") as fh:
-        fh.write(data[:header_end])
-        np.lib.format.write_array_header_1_0(
-            fh, {"descr": "<f8", "fortran_order": False, "shape": (10**13,)}
-        )
-        fh.write(data[header_end:])
+    """Rewrite a gallery file, with a fresh CRC, so that its header
+    declares a 10**7 x 10**6 image: a mean of 80 TB, ahead of the real
+    arrays."""
+    edit_gallery(path, lambda h, a: h.update(width=10**7, height=10**6))
 
 
 def test_load_gallery_rejects_record_larger_than_the_file(saved_gallery):
-    # read_array allocates the declared shape before reading, so this used
-    # to escape as MemoryError.
+    # The length check runs before any view is made, so the declared
+    # sizes allocate nothing.
     declare_huge_mean(saved_gallery)
-    with pytest.raises(GalleryFormatError, match="truncated: the mean record"):
-        load_gallery(saved_gallery)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GalleryFormatError, match="the header's shapes imply"):
+            load_gallery(saved_gallery)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_load_gallery_trailing_bytes(saved_gallery):
     with open(saved_gallery, "ab") as fh:
         fh.write(b"\0")
-    with pytest.raises(GalleryFormatError, match="trailing"):
+    with pytest.raises(GalleryFormatError, match="checksum mismatch"):
         load_gallery(saved_gallery)
 
 
-def test_load_gallery_refuses_object_record(saved_gallery, monkeypatch):
-    objects = np.array([[0.5], [-0.5]], dtype=object)
-    edit_gallery(saved_gallery, lambda h, a: a.update(coords=objects))
-    monkeypatch.setattr(pickle, "load", lambda *args, **kwargs: pytest.fail("unpickled"))
-    with pytest.raises(GalleryFormatError, match="allow_pickle"):
-        load_gallery(saved_gallery)
-
-
-def test_load_gallery_rejects_fortran_eigenvectors(tmp_path):
+def test_gallery_file_has_the_documented_layout(tmp_path):
+    # write_gallery follows README.md, not save_gallery's code.
     path = tmp_path / "gallery.json"
-    save_two_pixel_gallery(path)
-    edit_gallery(
-        path, lambda h, a: a.update(eigenvectors=np.asfortranarray(a["eigenvectors"]))
-    )
-    with pytest.raises(GalleryFormatError, match="C-ordered"):
-        load_gallery(path)
+    model = save_two_pixel_gallery(path, k=5)
+    saved = path.read_bytes()
+    header, arrays = gallery_records(path)
+    assert header["format_version"] == 3
+    assert (header["k"], header["requested_k"]) == (model.k, 5)
+    assert arrays["eigenvectors"].tobytes() == model.eigenvectors.tobytes()
+    assert record_ends(path)[0] % 64 == 0
+    write_gallery(path, header, arrays)
+    assert path.read_bytes() == saved
 
 
-def test_load_gallery_rejects_float32_coords(saved_gallery):
-    edit_gallery(saved_gallery, lambda h, a: a.update(coords=a["coords"].astype(np.float32)))
-    with pytest.raises(GalleryFormatError, match="float64"):
+def test_loaded_arrays_are_aligned_float64_views(saved_gallery):
+    gallery, model = load_gallery(saved_gallery)
+    for a in (model.mean, model.eigenvectors, model.eigenvalues, gallery.coords, gallery.ra_avg):
+        assert a.dtype == np.float64
+        assert a.flags.c_contiguous and a.flags.aligned
+        assert not a.flags.owndata
+
+
+def test_load_gallery_rejects_format_2_file(saved_gallery):
+    # The format-2 writer: six .npy records, the first the JSON header.
+    header, arrays = gallery_records(saved_gallery)
+    header["format_version"] = 2
+    with open(saved_gallery, "wb") as fh:
+        np.lib.format.write_array(fh, np.frombuffer(json.dumps(header).encode(), np.uint8))
+        for a in arrays.values():
+            np.lib.format.write_array(fh, a)
+    with pytest.raises(
+        GalleryFormatError, match="not a version 3 gallery file; re-run `dtpca train`"
+    ):
         load_gallery(saved_gallery)
 
 
