@@ -32,8 +32,8 @@ class ImageVector:
     values is a 1-D array of length width * height in one of two
     representations: raw 8-bit pixels (dtype uint8, as load_image returns
     them; intensity = value / 255) or float intensities (any floating
-    dtype, as synthetic images and tests build them).  normalized() is the
-    single place the two meet.
+    dtype, as synthetic images and tests build them), which must all be
+    finite.  normalized() is the single place the two meet.
     """
 
     width: int
@@ -50,6 +50,8 @@ class ImageVector:
             raise ValueError("values must be a 1-D array of dtype uint8 or float")
         if len(v) != self.width * self.height:
             raise ValueError(f"value count {len(v)} != {self.width}x{self.height}")
+        if v.dtype != np.uint8 and not np.isfinite(v).all():
+            raise ValueError("non-finite pixel value")
 
     def normalized(self, out=None) -> np.ndarray:
         """The intensities as float64: uint8 pixels divided by exactly 255,
@@ -160,12 +162,9 @@ def load_image(path) -> ImageVector:
 
 def save_image(image: ImageVector, path) -> None:
     """Write an ImageVector as binary P5.  uint8 values are written as they
-    are; float values are rounded from values * 255 and clipped to [0, 255].
-    Raises ValueError for a non-finite float value."""
+    are; float values are rounded from values * 255 and clipped to [0, 255]."""
     raw = image.values
     if raw.dtype != np.uint8:
-        if not np.all(np.isfinite(raw)):
-            raise ValueError("non-finite pixel value")
         raw = np.clip(np.rint(raw * 255.0), 0, 255).astype(np.uint8)
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
     Path(path).write_bytes(header + raw.tobytes())

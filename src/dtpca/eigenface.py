@@ -10,6 +10,7 @@ over the retained k coordinates.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,17 @@ from .dataset_io import ImageVector
 
 # Gram eigenvalues below RANK_RTOL * largest are treated as rank deficiency.
 RANK_RTOL = 1e-10
+
+# The eigenvector lift runs in column blocks, each a multiple of LIFT_BLOCK
+# columns wide and of at least LIFT_WORK multiply-adds (columns x kept x
+# images); the last block takes the remainder, so none is smaller.  Such
+# blocks give the bytes of one product over all columns.  Under OpenBLAS a
+# product of 10**6 multiply-adds or fewer, or of one row, runs another
+# kernel, whose rounding depends on where the columns are cut, and block
+# edges off a 4,096-column grid moved bits too.  One kept row is lifted
+# whole.
+LIFT_BLOCK = 4096
+LIFT_WORK = 2**20
 
 
 class ZeroVarianceError(ValueError):
@@ -50,14 +62,28 @@ class EigenModel:
         return self.k < self.requested_k
 
 
+def checked_k(k) -> int:
+    """k as a Python int.  Raises ValueError unless k is an integer >= 1;
+    a bool or a float is not an integer here."""
+    try:
+        if isinstance(k, bool):
+            raise TypeError
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return k
+
+
 def fit_eigenmodel(images: list[ImageVector], k: int) -> EigenModel:
     """Fit the eigenspace of a training set, keeping min(k, rank) components.
 
     Raises ZeroVarianceError when every training image is identical, and
-    ValueError for fewer than 2 images, mismatched dimensions, or k < 1.
+    ValueError for fewer than 2 images, mismatched dimensions, or a k that
+    checked_k rejects.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = checked_k(k)
     if len(images) < 2:
         raise ValueError("need at least 2 training images")
     if len({(img.width, img.height) for img in images}) != 1:
@@ -87,10 +113,22 @@ def fit_eigenmodel(images: list[ImageVector], k: int) -> EigenModel:
     kept = min(k, rank)
 
     sigma = np.sqrt(lam[:kept])
-    # Lift Gram eigenvectors to pixel space; rows come out C-contiguous, the
-    # layout a gallery file stores, so projections are bit-identical after a
-    # save and reload.
-    eigvecs = vecs[:, :kept].T @ rows
+    # Lift Gram eigenvectors to pixel space into the first kept rows, one
+    # column block at a time (a block reads only its own columns), then
+    # shrink the matrix in place: besides it, one block's product is all
+    # that is allocated.  The rows stay C-contiguous, the layout a gallery
+    # file stores, so projections are bit-identical after a save and
+    # reload.  No view of rows is left for the resize to invalidate;
+    # refcheck would also count a tracer's hold on this frame's locals.
+    lift = vecs[:, :kept].T
+    n, d = rows.shape
+    width = d if kept < 2 else LIFT_BLOCK * -(-LIFT_WORK // (LIFT_BLOCK * kept * n))
+    stops = [*range(width, d - width + 1, width), d]
+    for start, stop in zip([0, *stops], stops):
+        rows[:kept, start:stop] = lift @ rows[:, start:stop]
+    del row
+    rows.resize((kept, d), refcheck=False)
+    eigvecs = rows
     eigvecs /= sigma[:, None]
     # Renormalize and canonicalize signs for byte-stable serialization.  A
     # row's norm sums as np.linalg.norm(axis=1) does, with no k x d temporary.

@@ -49,8 +49,7 @@ def _check_inputs(train_variants, k, modes, dt_divisor) -> None:
         raise SplitRangeError("train_variants must be >= 1")
     if len(set(train_variants)) != len(train_variants):
         raise ValueError(f"duplicate train_variants: {list(train_variants)}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    eigenface.checked_k(k)
     if not sys.float_info.min <= dt_divisor < math.inf:
         raise ValueError(f"dt_divisor must be finite and >= {sys.float_info.min}")
     bad = [m for m in modes if m not in recognizer.MODES]

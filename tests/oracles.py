@@ -12,6 +12,9 @@ fitted model's coordinates.  The scalar formula chain is kept here as a
 reference for the arithmetic `delaunay` and `recognize` run inline:
 `triangle_area` (Heron), `relative_areas` and `average_relative_area`
 (RA_avg), `dt_difference` (D) and `fused_score` (RV = ED + D / dt_divisor).
+`one_product_eigenvectors` repeats the fit's snapshot arithmetic with the
+lift to pixel space taken as one product, the bytes the fit's blocked lift
+must give.
 Images enter the eigenspace oracles through `ImageVector.normalized()`, the
 package's one definition of a pixel's intensity.
 """
@@ -246,6 +249,24 @@ def covariance_eigenspace(images, k=None):
     rank = int(np.sum(lam > 1e-10 * max(lam[0], 1e-300)))
     kept = rank if k is None else min(k, rank)
     return mean, lam[:kept], vecs[:, :kept].T
+
+
+def one_product_eigenvectors(images, kept):
+    """The fit's eigenvectors with the lift taken as one product over all d
+    columns, `vecs[:, :kept].T @ centered`, then scaled by 1 / sigma,
+    normalized row by row and sign-canonicalized as the fit does: the
+    byte-for-byte reference for the fit's column-blocked lift."""
+    centered = center_images(images, mean_image(images))
+    lam, vecs = np.linalg.eigh(centered @ centered.T)
+    order = np.argsort(lam)[::-1]
+    lam, vecs = lam[order], vecs[:, order]
+    eigvecs = vecs[:, :kept].T @ centered
+    eigvecs /= np.sqrt(lam[:kept])[:, None]
+    for row in eigvecs:
+        row /= np.sqrt(np.add.reduce(row * row))
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+    return eigvecs
 
 
 def _as_rows(images):

@@ -128,6 +128,19 @@ def test_image_vector_rejects_other_representations(values):
         ImageVector(width=2, height=1, values=values)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_image_vector_rejects_non_finite_values(bad, dtype):
+    with pytest.raises(ValueError, match="non-finite pixel value"):
+        ImageVector(width=2, height=1, values=np.array([0.5, bad], dtype=dtype))
+
+
+def test_image_vector_takes_every_uint8_value_and_finite_float_extremes():
+    ImageVector(width=256, height=1, values=np.arange(256, dtype=np.uint8))
+    info = np.finfo(np.float64)
+    ImageVector(width=4, height=1, values=np.array([info.max, -info.max, info.tiny, 0.0]))
+
+
 @pytest.mark.parametrize("magic", ["P5", "P2"])
 def test_load_image_keeps_one_byte_per_pixel(tmp_path, magic):
     pixels = [0, 1, 2, 253, 254, 255]

@@ -1,11 +1,17 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import dtpca
 import oracles
+from dtpca import synthetic
 from dtpca.dataset_io import ImageVector, load_image, load_manifest
 from dtpca.eigenface import ImageSizeError, ZeroVarianceError, fit_eigenmodel, project
 from dtpca.recognizer import (
@@ -120,6 +126,28 @@ def test_fit_rejects_bad_k():
         fit_eigenmodel(TOY_IMAGES, k=0)
 
 
+@pytest.mark.parametrize("k", [True, np.True_, 2.5, "2", None], ids=repr)
+def test_fit_rejects_k_that_is_not_an_integer(k):
+    # True used to fit with k == True, a gallery load_gallery then refused;
+    # 2.5 failed in slicing with a TypeError.
+    with pytest.raises(ValueError, match="k must be an integer"):
+        fit_eigenmodel(TOY_IMAGES, k=k)
+
+
+def test_numpy_integer_k_gives_python_ints_and_a_gallery_that_reloads(tmp_path):
+    # An np.int64 k used to reach the gallery header, which json could not
+    # encode.
+    imgs = random_images(8, 5, 9)
+    for k, kept in ((np.int64(3), 3), (np.int32(25), 4)):
+        m = fit_eigenmodel(imgs, k=k)
+        assert (type(m.k), type(m.requested_k)) == (int, int)
+        assert (m.k, m.requested_k) == (kept, int(k))
+        save_model_gallery(tmp_path / "gallery.bin", m, imgs)
+        _, back = load_gallery(tmp_path / "gallery.bin")
+        assert (back.k, back.requested_k) == (kept, int(k))
+        assert back.eigenvectors.tobytes() == m.eigenvectors.tobytes()
+
+
 def test_fit_dim_mismatch():
     # A 1x2 image has the pixel count of a 2x1 one, but not its size.
     for other in (image(np.zeros(3)), image(np.zeros(2), 1, 2)):
@@ -142,9 +170,10 @@ def test_rank_bound_nonzero_eigenvalues():
 
 
 def test_fit_peak_memory_below_two_image_matrices():
-    # The stacked n x d rows are the fit's one large buffer; the k x d
-    # eigenvectors (k < n) come on top, and their norm needs no second
-    # k x d array (it measured 1.56 n*d*8 with one, 1.36 without).
+    # The stacked n x d rows are the fit's one large buffer; the eigenvectors
+    # are lifted into its first k rows, here in one block of all 3,072
+    # columns, whose k x d product comes on top, and their norm needs no
+    # second k x d array (it measured 1.56 n*d*8 with one, 1.36 without).
     n, d = 40, 64 * 48
     imgs = random_images(40, n, d)
     tracemalloc.start()
@@ -169,6 +198,72 @@ def test_fit_peak_memory_below_two_image_matrices_from_uint8():
     finally:
         tracemalloc.stop()
     assert peak < 1.45 * n * d * 8
+
+
+def test_fit_peak_memory_of_a_blocked_lift():
+    # 19,200 columns lift in blocks of 4,096, the last one 6,912 wide, so
+    # only a k x 6,912 product comes on top of the n x d rows (1.26 n*d*8;
+    # one k x d product measured 1.68).
+    n, d = 40, 160 * 120
+    imgs = random_images(45, n, d)
+    tracemalloc.start()
+    try:
+        fit_eigenmodel(imgs, k=25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * n * d * 8
+
+
+@pytest.mark.parametrize("d", [4095, 8191, 8192, 8193, 12345, 20000])
+@pytest.mark.parametrize("n", [2, 3, 16, 45])
+def test_blocked_lift_gives_the_one_product_bytes(n, d):
+    # One block below 8,192 columns, two or more above for 45 images.  With
+    # 16 images and 8 or 15 kept, 4,096 columns are at most 10**6
+    # multiply-adds, so the blocks are 8,192 wide: 4,096-column blocks
+    # rounded the last columns of 8,193 otherwise.
+    imgs = random_images(n * 100_000 + d, n, d)
+    for kept in sorted({1, n // 2, n - 1}):
+        m = fit_eigenmodel(imgs, k=kept)
+        assert m.k == kept
+        assert m.eigenvectors.shape == (kept, d)
+        assert m.eigenvectors.tobytes() == oracles.one_product_eigenvectors(imgs, kept).tobytes()
+        # Shrunk in place: the fit's own buffer, not a view of a larger one.
+        assert m.eigenvectors.flags.c_contiguous and m.eigenvectors.flags.owndata
+
+
+def test_train_gallery_of_a_three_block_lift_is_pinned(tmp_path):
+    # 15 subjects x 3 variants at 128x96 give d = 12,288, which the lift
+    # takes in three blocks; these are the bytes of the one-product lift.
+    # The digest is of one BLAS thread's output, as the benchmark runs, and
+    # the gallery names its images relative to the working directory.
+    synthetic.make_dataset(
+        tmp_path, subjects=15, variants=3, width=128, height=96, schemes=(68,), seed=0
+    )
+    src = os.path.dirname(os.path.dirname(dtpca.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dtpca.cli", "train", "--manifest", "manifest_68.csv",
+         "--k", "25", "--out", "gallery.bin"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256((tmp_path / "gallery.bin").read_bytes()).hexdigest() == (
+        "6bf291cd2614ee2383aad69463006133fbc8b6e0adf22041607cf60a01e54dec"
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_image_fails_before_fit_or_project(bad):
+    # A NaN pixel used to fail in the fit's eigensolver, and an inf one
+    # projected to infinite coordinates without an error.  save_image is
+    # covered by test_save_image_rejects_non_finite_values.
+    values = np.array([0.5, bad, 0.25])
+    with pytest.raises(ValueError, match="non-finite pixel value"):
+        fit_eigenmodel([image([0.0, 0.0, 1.0]), image(values)], k=1)
+    with pytest.raises(ValueError, match="non-finite pixel value"):
+        project(fit_eigenmodel(random_images(46, 4, 3), k=2), image(values))
 
 
 def uint8_images_and_float_twins(seed, n, d):

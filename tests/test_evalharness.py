@@ -295,6 +295,18 @@ def test_run_table_row_order(scheme_manifests):
     assert [(r.train_count, r.mode) for r in table.rows] == [(8, "pca_only"), (4, "pca_only")]
 
 
+@pytest.mark.parametrize("k", [True, 2.5, "3", 0], ids=repr)
+def test_bad_k_is_rejected_before_any_image_is_read(scheme_manifests, monkeypatch, k):
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(dataset_io, "load_image", no_read)
+    with pytest.raises(ValueError, match="k must be"):
+        run_table(scheme_manifests, (2,), k=k)
+    with pytest.raises(ValueError, match="k must be"):
+        ExperimentConfig(manifest_path=scheme_manifests[0], train_variants=2, k=k)
+
+
 def test_run_table_rejects_duplicate_inputs(scheme_manifests):
     with pytest.raises(ValueError, match="duplicate train_variants"):
         run_table(scheme_manifests, (2, 2))
