@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +34,8 @@ class ImageVector:
     representations: raw 8-bit pixels (dtype uint8, as load_image returns
     them; intensity = value / 255) or float intensities (any floating
     dtype, as synthetic images and tests build them), which must all be
-    finite.  normalized() is the single place the two meet.
+    finite and are held as a read-only copy.  normalized() is the single
+    place the two meet.
     """
 
     width: int
@@ -50,8 +52,14 @@ class ImageVector:
             raise ValueError("values must be a 1-D array of dtype uint8 or float")
         if len(v) != self.width * self.height:
             raise ValueError(f"value count {len(v)} != {self.width}x{self.height}")
-        if v.dtype != np.uint8 and not np.isfinite(v).all():
-            raise ValueError("non-finite pixel value")
+        if v.dtype != np.uint8:
+            # Copied, so no later write can make a value non-finite and the
+            # caller's array stays writable.
+            v = v.copy()
+            v.flags.writeable = False
+            if not np.isfinite(v).all():
+                raise ValueError("non-finite pixel value")
+            object.__setattr__(self, "values", v)
 
     def normalized(self, out=None) -> np.ndarray:
         """The intensities as float64: uint8 pixels divided by exactly 255,
@@ -85,31 +93,12 @@ class DatasetManifest:
         return groups
 
 
-def _read_pgm_tokens(data: bytes, path, count: int) -> tuple[list[bytes], int]:
-    """Read `count` whitespace-separated header tokens, skipping # comments.
-
-    Returns the tokens plus the offset one byte past the final token's
-    trailing whitespace character (start of the raster for P5).
-    """
-    tokens = []
-    pos = 0
-    n = len(data)
-    while len(tokens) < count:
-        while pos < n and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < n and data[pos : pos + 1] == b"#":
-            while pos < n and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < n and not data[pos : pos + 1].isspace() and data[pos : pos + 1] != b"#":
-            pos += 1
-        if pos == start:
-            raise DatasetFormatError(f"{path}: truncated PGM header")
-        tokens.append(data[start:pos])
-    if pos >= n or not data[pos : pos + 1].isspace():
-        raise DatasetFormatError(f"{path}: missing whitespace after PGM header")
-    return tokens, pos + 1
+# The magic number, then width, height and maxval, each after any run of
+# whitespace and "#" comments.  A comment runs to the end of its line and a
+# token to the next whitespace or "#"; the lookaheads keep either from
+# being matched short.
+_PGM_TOKEN = rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]+)(?![^\s#])"
+_PGM_HEADER = re.compile(rb"P[25]" + _PGM_TOKEN * 3)
 
 
 def load_image(path) -> ImageVector:
@@ -121,8 +110,12 @@ def load_image(path) -> ImageVector:
     data = path.read_bytes()
     if data[:2] not in (b"P5", b"P2"):
         raise DatasetFormatError(f"{path}: unsupported magic number {data[:2]!r}")
-    magic = data[:2]
-    tokens, raster_pos = _read_pgm_tokens(data[2:], path, 3)
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise DatasetFormatError(f"{path}: truncated PGM header")
+    if not data[header.end() : header.end() + 1].isspace():
+        raise DatasetFormatError(f"{path}: missing whitespace after PGM header")
+    tokens, raster_pos = header.groups(), header.end() + 1
     try:
         if not all(t.isdigit() for t in tokens):  # int() takes a sign or "_" too
             raise ValueError
@@ -134,13 +127,13 @@ def load_image(path) -> ImageVector:
     if maxval != 255:
         raise DatasetFormatError(f"{path}: maxval {maxval} unsupported (must be 255)")
     npix = width * height
-    if magic == b"P5":
-        raster = data[2 + raster_pos : 2 + raster_pos + npix]
+    if data[:2] == b"P5":
+        raster = data[raster_pos : raster_pos + npix]
         if len(raster) < npix:
             raise DatasetFormatError(f"{path}: truncated pixel data")
         raw = np.frombuffer(raster, dtype=np.uint8)
     else:
-        fields = data[2 + raster_pos :].split()
+        fields = data[raster_pos:].split()
         if len(fields) < npix:
             raise DatasetFormatError(f"{path}: truncated pixel data")
         fields = fields[:npix]
@@ -287,22 +280,20 @@ def split_dataset(
     """Deterministic split: per subject, the first k entries in manifest
     order are the training set and the remainder the test set.
     """
-    groups = manifest.entries_by_subject()
-    counts = {len(v) for v in groups.values()}
+    k = train_variants_per_subject
+    seen: dict[str, int] = {}
+    train: list[ManifestEntry] = []
+    test: list[ManifestEntry] = []
+    for e in manifest.entries:
+        i = seen.get(e.subject_id, 0)
+        seen[e.subject_id] = i + 1
+        (train if i < k else test).append(e)
+    counts = set(seen.values())
     if len(counts) > 1:
         raise ValueError(f"ragged subjects: variant counts {sorted(counts)}")
     per_subject = counts.pop() if counts else 0
-    k = train_variants_per_subject
     if not 1 <= k < per_subject:
         raise ValueError(
             f"train_variants_per_subject={k} out of range [1, {per_subject - 1}]"
         )
-    train: list[ManifestEntry] = []
-    test: list[ManifestEntry] = []
-    for e in manifest.entries:
-        group = groups[e.subject_id]
-        if group.index(e) < k:
-            train.append(e)
-        else:
-            test.append(e)
     return DatasetManifest(entries=tuple(train)), DatasetManifest(entries=tuple(test))

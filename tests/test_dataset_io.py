@@ -17,6 +17,7 @@ from dtpca.dataset_io import (
     save_manifest,
     split_dataset,
 )
+from dtpca.eigenface import fit_eigenmodel
 
 
 # --- load_image --------------------------------------------------------------
@@ -84,6 +85,69 @@ def test_load_image_p2_pixel_out_of_range(tmp_path):
         load_image(path)
 
 
+@pytest.mark.parametrize(
+    "data,text",
+    [
+        (b"P6\n1 1\n255\n\x00", "unsupported magic number b'P6'"),
+        (b"P", "unsupported magic number b'P'"),
+        (b"", "unsupported magic number b''"),
+        (b"p5\n1 1\n255\n\x00", "unsupported magic number b'p5'"),
+        (b"P5\n1 1\n", "truncated PGM header"),
+        (b"P2", "truncated PGM header"),
+        (b"P5 1 1 # 255\n", "truncated PGM header"),
+        (b"P5 1 1 # 255\n\x00", "missing whitespace after PGM header"),
+        (b"P5 1 1 #\n", "truncated PGM header"),
+        (b"P5\n1 1\n255", "missing whitespace after PGM header"),
+        (b"P5\n1 1\n255#c\n\x00", "missing whitespace after PGM header"),
+        (b"P2 1 1 255#\n7\n", "missing whitespace after PGM header"),
+        (b"P5\n1 x\n255\n\x00", "non-numeric PGM header"),
+        (b"P5\n+1 1\n255\n\x00", "non-numeric PGM header"),
+        (b"P5\n1 1_0\n255\n\x00", "non-numeric PGM header"),
+        (b"P5 1 1 \xd9\xa5\n\x00", "non-numeric PGM header"),
+        (b"P5\n0 1\n255\n", "invalid dimensions 0x1"),
+        (b"P2\n3 00\n255\n", "invalid dimensions 3x0"),
+        (b"P5\n1 1\n128\n\x00", "maxval 128 unsupported (must be 255)"),
+        (b"P5\n2 2\n255\n\x00\x00\x00", "truncated pixel data"),
+        (b"P5\n1 1\n255\n", "truncated pixel data"),
+        (b"P2\n2 1\n255\n0\n", "truncated pixel data"),
+        (b"P2\n2 1\n255\n0 +1\n", "non-numeric pixel value"),
+        (b"P2\n2 1\n255\n0 #1\n", "non-numeric pixel value"),
+        (b"P2\n1 1\n255\n256\n", "pixel value out of range"),
+        (b"P2\n1 1\n255\n-1\n", "pixel value out of range"),
+    ],
+)
+def test_load_image_error_texts(tmp_path, data, text):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(data)
+    with pytest.raises(DatasetFormatError) as exc:
+        load_image(path)
+    assert str(exc.value) == f"{path}: {text}"
+
+
+@pytest.mark.parametrize(
+    "data,size,pixels",
+    [
+        (b"P51 1 255\n\x07", (1, 1), [7]),
+        (b"P5#c\n1 1 255\n\x07", (1, 1), [7]),
+        (b"P5\n#\n1#c\n1#c\n255\n\x07", (1, 1), [7]),
+        (b"P5\x0b2\x0c1\t255\x0b\x07\x08", (2, 1), [7, 8]),
+        (b"P5\r\n1 1\r\n255\n\x07", (1, 1), [7]),
+        (b"P5\r\n1 1\r\n255\r\n\x07", (1, 1), [10]),
+        (b"P5 1 1 255 # 255\n", (1, 1), [ord("#")]),
+        (b"P5 1 1 255 \x07# trailing", (1, 1), [7]),
+        (b"P2\r\n2 1\r\n255\r\n7\x0b8\r\n# end of file", (2, 1), [7, 8]),
+        (b"P2 1 1 255 7 junk", (1, 1), [7]),
+        (b"P2\n01 1\n0255\n007\n", (1, 1), [7]),
+    ],
+)
+def test_load_image_header_forms_that_load(tmp_path, data, size, pixels):
+    path = tmp_path / "x.pgm"
+    path.write_bytes(data)
+    img = load_image(path)
+    assert (img.width, img.height) == size
+    assert img.values.tolist() == pixels
+
+
 @given(pixels=st.lists(st.integers(0, 255), min_size=1, max_size=64))
 def test_pgm_byte_round_trip(tmp_path_factory, pixels):
     # Loading then saving reproduces the original bytes exactly.
@@ -139,6 +203,25 @@ def test_image_vector_takes_every_uint8_value_and_finite_float_extremes():
     ImageVector(width=256, height=1, values=np.arange(256, dtype=np.uint8))
     info = np.finfo(np.float64)
     ImageVector(width=4, height=1, values=np.array([info.max, -info.max, info.tiny, 0.0]))
+
+
+def test_image_vector_float_values_are_a_read_only_copy():
+    # Two 3-pixel images once fitted a k == 0 model after a NaN was written
+    # into one of them after construction.
+    arrays = [np.array([0.1, 0.5, 0.9]), np.array([0.9, 0.5, 0.1])]
+    images = [ImageVector(width=3, height=1, values=a) for a in arrays]
+    with pytest.raises(ValueError, match="read-only"):
+        images[0].values[1] = np.nan
+    arrays[0][1] = np.nan  # the caller's own array stays writable
+    assert images[0].values.tolist() == [0.1, 0.5, 0.9]
+    model = fit_eigenmodel(images, k=1)
+    assert model.k == 1 and model.eigenvectors.shape == (1, 3)
+    assert np.isfinite(model.eigenvectors).all()
+
+
+def test_image_vector_keeps_uint8_values_as_given():
+    raw = np.arange(4, dtype=np.uint8)
+    assert ImageVector(width=2, height=2, values=raw).values is raw
 
 
 @pytest.mark.parametrize("magic", ["P5", "P2"])
@@ -361,6 +444,13 @@ def test_split_dataset_takes_first_variants_in_order():
         assert [e.variant for e in group] == ["v0", "v1", "v2"]
     for s, group in test.entries_by_subject().items():
         assert [e.variant for e in group] == ["v3"]
+
+
+def test_split_dataset_takes_the_first_k_entries_of_repeated_entries():
+    a, b, c = _manifest(1, 3).entries
+    train, test = split_dataset(DatasetManifest(entries=(a, a, b, c)), 1)
+    assert train.entries == (a,)
+    assert test.entries == (a, b, c)
 
 
 def test_split_dataset_out_of_range():
