@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -120,7 +119,7 @@ def cmd_train(args) -> int:
 
 
 def _check_dt_divisor(value: float) -> None:
-    if not sys.float_info.min <= value < math.inf:
+    if not recognizer.valid_dt_divisor(value):
         raise UsageError(f"--dt-divisor must be finite and >= {sys.float_info.min}, got {value}")
 
 

@@ -61,16 +61,18 @@ class ImageVector:
                 raise ValueError("non-finite pixel value")
             object.__setattr__(self, "values", v)
 
-    def normalized(self, out=None) -> np.ndarray:
-        """The intensities as float64: uint8 pixels divided by exactly 255,
-        float values copied unchanged.  Written into `out` when given."""
-        if self.values.dtype == np.uint8:
+    def normalized(self, start=0, stop=None, out=None) -> np.ndarray:
+        """The intensities of values[start:stop] as float64: uint8 pixels
+        divided by exactly 255, float values copied unchanged.  Written
+        into `out` when given."""
+        values = self.values[start:stop]
+        if values.dtype == np.uint8:
             # Divide rather than multiply by 1/255: the product rounds
             # differently for 24 of the 256 pixel values.
-            return np.divide(self.values, 255.0, out=out)
+            return np.divide(values, 255.0, out=out)
         if out is None:
-            return self.values.astype(np.float64)
-        out[:] = self.values
+            return values.astype(np.float64)
+        out[:] = values
         return out
 
 
@@ -115,13 +117,15 @@ def load_image(path) -> ImageVector:
         raise DatasetFormatError(f"{path}: truncated PGM header")
     if not data[header.end() : header.end() + 1].isspace():
         raise DatasetFormatError(f"{path}: missing whitespace after PGM header")
-    tokens, raster_pos = header.groups(), header.end() + 1
+    raster_pos = header.end() + 1
+    if not all(t.isdigit() for t in header.groups()):  # int() takes a sign or "_" too
+        raise DatasetFormatError(f"{path}: non-numeric PGM header")
+    digits = [t.lstrip(b"0") or b"0" for t in header.groups()]
     try:
-        if not all(t.isdigit() for t in tokens):  # int() takes a sign or "_" too
-            raise ValueError
-        width, height, maxval = map(int, tokens)
-    except ValueError:
-        raise DatasetFormatError(f"{path}: non-numeric PGM header") from None
+        width, height, maxval = map(int, digits)
+    except ValueError:  # more digits than int() converts
+        longest = max(map(len, digits))
+        raise DatasetFormatError(f"{path}: PGM header value too large ({longest} digits)") from None
     if width <= 0 or height <= 0:
         raise DatasetFormatError(f"{path}: invalid dimensions {width}x{height}")
     if maxval != 255:
@@ -164,9 +168,10 @@ def save_image(image: ImageVector, path) -> None:
 
 
 def _read_lines(path: Path) -> list[str]:
-    """A UTF-8 text file's lines, whatever the locale; a decode error names it."""
+    """A UTF-8 text file's lines, whatever the locale, without a leading
+    byte-order mark; a decode error names the file."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return fh.readlines()
     except UnicodeDecodeError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from None

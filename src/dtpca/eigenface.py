@@ -6,6 +6,16 @@ n x n Gram matrix of the centered rows (snapshot method) and lifted back
 to pixel space, which is exactly equivalent to an SVD of the centered
 data matrix.  Matching happens in eigenspace via plain Euclidean distance
 over the retained k coordinates.
+
+The fit streams the images in column panels and never holds them as one
+n x d float64 matrix unless that costs no more than the panels: a first
+pass takes each panel's column means, centers it and adds its products to
+the Gram matrix, and a second re-forms and centers each lift block from
+the images.  The Gram is summed in the column chunks OpenBLAS's dsyrk
+uses on its SkylakeX kernel and the lift runs in blocks that give one
+product's bytes, so the model is bit for bit that of one product over all
+columns; another BLAS kernel may round the last bits differently, as
+another thread count already may.
 """
 
 from __future__ import annotations
@@ -30,6 +40,14 @@ RANK_RTOL = 1e-10
 # whole.
 LIFT_BLOCK = 4096
 LIFT_WORK = 2**20
+
+# The Gram matrix is summed over column chunks cut as OpenBLAS's dsyrk cuts
+# its inner dimension (GEMM_Q, 384 columns on its SkylakeX kernel, where
+# this was measured): 384 columns at a time, with a remainder of 385 to
+# 767 columns halved.  Each chunk is then one kernel pass, and the chunk
+# products added in order give the bytes of one product over all
+# columns.  Plain 384-column chunks do not.
+GRAM_BLOCK = 384
 
 
 class ZeroVarianceError(ValueError):
@@ -88,19 +106,19 @@ def fit_eigenmodel(images: list[ImageVector], k: int) -> EigenModel:
         raise ValueError("need at least 2 training images")
     if len({(img.width, img.height) for img in images}) != 1:
         raise ValueError("images have mismatched dimensions")
-    # The fit's one n x d matrix: each image's intensities are written into
-    # its own row, which is measured and centered in place; nothing else is
-    # n x d.
-    rows = np.empty((len(images), images[0].width * images[0].height))
-    for img, row in zip(images, rows):
-        img.normalized(out=row)
-    # Identical images leave only mean-rounding residue after centering;
-    # compare the centered energy against the raw pixel energy.
-    raw_energy = sum(float(r @ r) for r in rows)
-    mean = rows.mean(axis=0)
-    rows -= mean
+    n, d = len(images), images[0].width * images[0].height
+    # The fit's one large buffer: an n x width panel, where width is the
+    # widest lift block if every requested component is kept.  Where the
+    # k x d eigenvectors and such a panel would not take less than one
+    # n x d matrix, width is d: the panel is that matrix, and the
+    # eigenvectors are lifted into it in place.
+    most = min(k, n - 1)
+    width = _widest(_lift_stops(n, d, most))
+    if most * d + n * width >= n * d:
+        width = d
+    buf = np.empty((n, width))
+    mean, gram, raw_energy = _mean_and_gram(images, buf)
 
-    gram = rows @ rows.T
     lam, vecs = np.linalg.eigh(gram)
     order = np.argsort(lam)[::-1]
     lam = lam[order]
@@ -113,22 +131,30 @@ def fit_eigenmodel(images: list[ImageVector], k: int) -> EigenModel:
     kept = min(k, rank)
 
     sigma = np.sqrt(lam[:kept])
-    # Lift Gram eigenvectors to pixel space into the first kept rows, one
-    # column block at a time (a block reads only its own columns), then
-    # shrink the matrix in place: besides it, one block's product is all
-    # that is allocated.  The rows stay C-contiguous, the layout a gallery
-    # file stores, so projections are bit-identical after a save and
-    # reload.  No view of rows is left for the resize to invalidate;
-    # refcheck would also count a tracer's hold on this frame's locals.
+    # Lift Gram eigenvectors to pixel space one column block at a time (a
+    # block reads only its own columns).  The eigenvectors stay
+    # C-contiguous, the layout a gallery file stores, so projections are
+    # bit-identical after a save and reload.
     lift = vecs[:, :kept].T
-    n, d = rows.shape
-    width = d if kept < 2 else LIFT_BLOCK * -(-LIFT_WORK // (LIFT_BLOCK * kept * n))
-    stops = [*range(width, d - width + 1, width), d]
-    for start, stop in zip([0, *stops], stops):
-        rows[:kept, start:stop] = lift @ rows[:, start:stop]
-    del row
-    rows.resize((kept, d), refcheck=False)
-    eigvecs = rows
+    stops = _lift_stops(n, d, kept)
+    if width == d:
+        # Into the first kept rows of the centered n x d matrix, which is
+        # then shrunk in place.  No view of buf is left for the resize to
+        # invalidate; refcheck would also count a tracer's hold on this
+        # frame's locals.
+        for start, stop in zip([0, *stops], stops):
+            buf[:kept, start:stop] = lift @ buf[:, start:stop]
+        buf.resize((kept, d), refcheck=False)
+        eigvecs = buf
+    else:
+        # Each block re-formed from the images and centered in the panel;
+        # fewer kept components than requested make the blocks wider.
+        buf.resize((n, max(width, _widest(stops))), refcheck=False)
+        eigvecs = np.empty((kept, d))
+        for start, stop in zip([0, *stops], stops):
+            block = _panel(images, start, stop, buf)
+            block -= mean[start:stop]
+            np.matmul(lift, block, out=eigvecs[:, start:stop])
     eigvecs /= sigma[:, None]
     # Renormalize and canonicalize signs for byte-stable serialization.  A
     # row's norm sums as np.linalg.norm(axis=1) does, with no k x d temporary.
@@ -142,10 +168,79 @@ def fit_eigenmodel(images: list[ImageVector], k: int) -> EigenModel:
         height=images[0].height,
         mean=mean,
         eigenvectors=eigvecs,
-        eigenvalues=lam[:kept] / (len(images) - 1),
+        eigenvalues=lam[:kept] / (n - 1),
         k=kept,
         requested_k=k,
     )
+
+
+def gram_stops(d: int) -> list[int]:
+    """Where the Gram's column chunks over d columns end, in order: every
+    GRAM_BLOCK columns, and a remainder of GRAM_BLOCK + 1 to 2 * GRAM_BLOCK - 1
+    columns in two, the first (m + 1) // 2 wide."""
+    stops, start = [], 0
+    while start < d:
+        left = d - start
+        if left >= 2 * GRAM_BLOCK:
+            start += GRAM_BLOCK
+        elif left > GRAM_BLOCK:
+            start += (left + 1) // 2
+        else:
+            start = d
+        stops.append(start)
+    return stops
+
+
+def _lift_stops(n: int, d: int, kept: int) -> list[int]:
+    """Where the lift's column blocks end, for kept of n Gram eigenvectors."""
+    width = d if kept < 2 else LIFT_BLOCK * -(-LIFT_WORK // (LIFT_BLOCK * kept * n))
+    return [*range(width, d - width + 1, width), d]
+
+
+def _widest(stops: list[int]) -> int:
+    return max(stop - start for start, stop in zip([0, *stops], stops))
+
+
+def _panel(images: list[ImageVector], start: int, stop: int, buf: np.ndarray) -> np.ndarray:
+    """Columns start:stop of the images' intensities, written into the
+    front of buf as a C-contiguous n x (stop - start) panel."""
+    panel = buf.reshape(-1)[: len(images) * (stop - start)].reshape(len(images), -1)
+    for img, row in zip(images, panel):
+        img.normalized(start, stop, out=row)
+    return panel
+
+
+def _mean_and_gram(images: list[ImageVector], buf: np.ndarray):
+    """The images' mean, the n x n Gram matrix of the centered images and
+    their raw pixel energy, in panels of buf's width.
+
+    Each panel is a run of whole Gram chunks; it is centered in place and
+    each chunk's product added to the Gram in order.  When buf spans every
+    column, it is left holding the centered images.
+    """
+    n, width = buf.shape
+    d = images[0].width * images[0].height
+    mean = np.empty(d)
+    gram, product = np.zeros((n, n)), np.empty((n, n))
+    raw_energy = 0.0
+    panels = [[0]]
+    for stop in gram_stops(d):
+        if stop - panels[-1][0] > width:
+            panels.append([panels[-1][-1]])
+        panels[-1].append(stop)
+    for cuts in panels:
+        start, stop = cuts[0], cuts[-1]
+        panel = _panel(images, start, stop, buf)
+        # Identical images leave only mean-rounding residue after
+        # centering; the fit compares the centered energy against this.
+        raw_energy += float(np.vdot(panel, panel))
+        panel.mean(axis=0, out=mean[start:stop])
+        panel -= mean[start:stop]
+        for a, b in zip(cuts, cuts[1:]):
+            chunk = panel[:, a - start : b - start]
+            np.matmul(chunk, chunk.T, out=product)
+            gram += product
+    return mean, gram, raw_energy
 
 
 def project(model: EigenModel, image: ImageVector) -> np.ndarray:

@@ -14,7 +14,6 @@ and one per landmark scheme.
 from __future__ import annotations
 
 import io
-import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -50,7 +49,7 @@ def _check_inputs(train_variants, k, modes, dt_divisor) -> None:
     if len(set(train_variants)) != len(train_variants):
         raise ValueError(f"duplicate train_variants: {list(train_variants)}")
     eigenface.checked_k(k)
-    if not sys.float_info.min <= dt_divisor < math.inf:
+    if not recognizer.valid_dt_divisor(dt_divisor):
         raise ValueError(f"dt_divisor must be finite and >= {sys.float_info.min}")
     bad = [m for m in modes if m not in recognizer.MODES]
     if bad or not modes:

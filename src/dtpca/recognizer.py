@@ -27,6 +27,13 @@ from .eigenface import EigenModel
 
 DEFAULT_DT_DIVISOR = 0.001
 
+
+def valid_dt_divisor(value: float) -> bool:
+    """Whether value may divide D: finite and at least the smallest normal
+    double, so D / value stays finite (D < 1).  nan is not valid."""
+    return sys.float_info.min <= value < math.inf
+
+
 MODES = ("pca_only", "dt_pca")
 
 GALLERY_FORMAT_VERSION = 3
@@ -180,7 +187,7 @@ def recognize(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if not sys.float_info.min <= dt_divisor < math.inf:
+    if not valid_dt_divisor(dt_divisor):
         raise ValueError(f"dt_divisor must be finite and >= {sys.float_info.min}, got {dt_divisor}")
     if not gallery.subjects:
         raise ValueError("empty gallery")

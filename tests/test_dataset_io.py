@@ -104,6 +104,12 @@ def test_load_image_p2_pixel_out_of_range(tmp_path):
         (b"P5\n+1 1\n255\n\x00", "non-numeric PGM header"),
         (b"P5\n1 1_0\n255\n\x00", "non-numeric PGM header"),
         (b"P5 1 1 \xd9\xa5\n\x00", "non-numeric PGM header"),
+        pytest.param(b"P5 " + b"9" * 5000 + b" 2 255\n\x00",
+                     "PGM header value too large (5000 digits)", id="5000-digit width"),
+        pytest.param(b"P5 1 1 " + b"0" * 9 + b"1" * 4301 + b"\n\x00",
+                     "PGM header value too large (4301 digits)", id="4301-digit maxval"),
+        pytest.param(b"P5 " + b"9" * 5000 + b" x 255\n\x00",
+                     "non-numeric PGM header", id="5000-digit width, non-numeric height"),
         (b"P5\n0 1\n255\n", "invalid dimensions 0x1"),
         (b"P2\n3 00\n255\n", "invalid dimensions 3x0"),
         (b"P5\n1 1\n128\n\x00", "maxval 128 unsupported (must be 255)"),
@@ -138,6 +144,8 @@ def test_load_image_error_texts(tmp_path, data, text):
         (b"P2\r\n2 1\r\n255\r\n7\x0b8\r\n# end of file", (2, 1), [7, 8]),
         (b"P2 1 1 255 7 junk", (1, 1), [7]),
         (b"P2\n01 1\n0255\n007\n", (1, 1), [7]),
+        pytest.param(b"P5 " + b"0" * 5000 + b"1 1 255\n\x07", (1, 1), [7],
+                     id="width 1 after 5000 zeros"),
     ],
 )
 def test_load_image_header_forms_that_load(tmp_path, data, size, pixels):
@@ -366,6 +374,13 @@ def test_load_landmarks_crlf_and_decimals(tmp_path):
     assert lmk.tolist() == [[0.5, 0.25], [4.125, 0.0], [2.0, 3.75]]
 
 
+def test_load_landmarks_skips_a_byte_order_mark(tmp_path):
+    # It used to fail as "l.csv:1: unparsable coordinate '\ufeff1.5,2.5'".
+    path = tmp_path / "l.csv"
+    path.write_bytes(b"\xef\xbb\xbf1.5,2.5\n0,0\n")
+    assert load_landmarks(path).tolist() == [[1.5, 2.5], [0.0, 0.0]]
+
+
 def test_load_landmarks_preserves_order(write_landmarks):
     pts = [(9, 1), (0, 0), (5, 5), (1, 8)]
     path = write_landmarks("ord.csv", pts)
@@ -397,6 +412,14 @@ def test_manifest_round_trip(tmp_path):
     assert [e.subject_id for e in back.entries] == [e.subject_id for e in m.entries]
     assert [e.variant for e in back.entries] == [e.variant for e in m.entries]
     assert back.entries[0].image_path == tmp_path / "images/0_0.pgm"
+
+
+def test_manifest_with_a_byte_order_mark_loads(tmp_path):
+    # The mark used to make the header fail its exact-match check.
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    save_manifest(_manifest(3, 2), plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_manifest(marked) == load_manifest(plain)
 
 
 def test_manifest_requires_header(tmp_path):

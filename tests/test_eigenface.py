@@ -13,7 +13,13 @@ import dtpca
 import oracles
 from dtpca import synthetic
 from dtpca.dataset_io import ImageVector, load_image, load_manifest
-from dtpca.eigenface import ImageSizeError, ZeroVarianceError, fit_eigenmodel, project
+from dtpca.eigenface import (
+    ImageSizeError,
+    ZeroVarianceError,
+    fit_eigenmodel,
+    gram_stops,
+    project,
+)
 from dtpca.recognizer import (
     GalleryFormatError,
     TrainingRecord,
@@ -202,8 +208,8 @@ def test_fit_peak_memory_below_two_image_matrices_from_uint8():
 
 def test_fit_peak_memory_of_a_blocked_lift():
     # 19,200 columns lift in blocks of 4,096, the last one 6,912 wide, so
-    # only a k x 6,912 product comes on top of the n x d rows (1.26 n*d*8;
-    # one k x d product measured 1.68).
+    # the fit streams them through one n x 6,912 panel beside the k x d
+    # eigenvectors (1.04 n*d*8).
     n, d = 40, 160 * 120
     imgs = random_images(45, n, d)
     tracemalloc.start()
@@ -213,6 +219,84 @@ def test_fit_peak_memory_of_a_blocked_lift():
     finally:
         tracemalloc.stop()
     assert peak < 1.3 * n * d * 8
+
+
+def test_fit_peak_memory_of_a_streamed_fit_is_below_half_the_image_matrix():
+    # With k much smaller than n, the fit holds no n x d matrix: the k x d
+    # eigenvectors, the mean and one n x 7,232 panel (0.38 n*d*8; a fit
+    # that stacks the images needs about n*d*8).
+    n, d = 60, 200 * 200
+    rng = np.random.default_rng(47)
+    imgs = [image(rng.integers(0, 256, size=d, dtype=np.uint8)) for _ in range(n)]
+    tracemalloc.start()
+    try:
+        fit_eigenmodel(imgs, k=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * n * d * 8
+
+
+@pytest.mark.parametrize(
+    "d,widths",
+    [
+        (7, [7]),
+        (384, [384]),
+        (767, [384, 383]),
+        (768, [384, 384]),
+        (1920, [384] * 5),
+        (1921, [384] * 4 + [193, 192]),
+        (2303, [384] * 4 + [384, 383]),
+        (1652, [384] * 3 + [250, 250]),
+        (1653, [384] * 3 + [251, 250]),
+    ],
+)
+def test_gram_chunk_widths(d, widths):
+    stops = gram_stops(d)
+    assert [b - a for a, b in zip([0, *stops], stops)] == widths
+
+
+# d = 0, 1 and 383 mod 384, and 385-767 columns left, odd and even, with
+# the paper's 320 x 243 and widths the lift tests use.
+GRAM_WIDTHS = (1920, 1921, 2303, 1652, 1653, 8193, 20000, 77760)
+
+
+def gram_chunk_mismatches(widths=GRAM_WIDTHS, n=45):
+    """The widths at which the Gram summed over gram_stops's chunks, as the
+    fit sums it, differs from one product of all columns."""
+    mismatches = []
+    for d in widths:
+        rows = np.random.default_rng(d).uniform(size=(n, d))
+        centered = rows - rows.mean(axis=0)
+        gram, product = np.zeros((n, n)), np.empty((n, n))
+        stops = gram_stops(d)
+        for start, stop in zip([0, *stops], stops):
+            chunk = centered[:, start:stop]
+            np.matmul(chunk, chunk.T, out=product)
+            gram += product
+        if gram.tobytes() != (centered @ centered.T).tobytes():
+            mismatches.append(d)
+    return mismatches
+
+
+def test_chunked_gram_gives_the_one_product_bytes():
+    assert gram_chunk_mismatches() == []
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_chunked_gram_gives_the_one_product_bytes_per_blas_thread_count(threads):
+    # The thread count is read when OpenBLAS loads, so each runs in its own
+    # interpreter.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(dtpca.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import test_eigenface; print(test_eigenface.gram_chunk_mismatches())"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("d", [4095, 8191, 8192, 8193, 12345, 20000])

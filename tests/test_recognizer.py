@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 import tracemalloc
 import zlib
@@ -20,6 +21,7 @@ from dtpca.recognizer import (
     load_gallery,
     recognize,
     save_gallery,
+    valid_dt_divisor,
 )
 from oracles import dt_difference, fused_score
 
@@ -266,6 +268,16 @@ def test_recognize_rejects_bad_divisor(flip_fixture, mode, divisor):
     model, gallery, test_image, test_landmarks = flip_fixture
     with pytest.raises(ValueError, match="dt_divisor"):
         recognize(gallery, model, test_image, test_landmarks, mode, dt_divisor=divisor)
+
+
+@pytest.mark.parametrize(
+    "value,valid",
+    [(sys.float_info.min, True), (0.001, True), (1e308, True), (0.0, False), (-1.0, False),
+     (math.nan, False), (math.inf, False), (1e-310, False), (5e-324, False)],
+)
+def test_valid_dt_divisor_is_the_one_range_rule(value, valid):
+    # recognize, the evaluation harness and the CLI all apply it.
+    assert valid_dt_divisor(value) is valid
 
 
 def test_huge_divisor_matches_pca_only(flip_fixture):
