@@ -8,14 +8,15 @@ data matrix.  Matching happens in eigenspace via plain Euclidean distance
 over the retained k coordinates.
 
 The fit streams the images in column panels and never holds them as one
-n x d float64 matrix unless that costs no more than the panels: a first
-pass takes each panel's column means, centers it and adds its products to
-the Gram matrix, and a second re-forms and centers each lift block from
-the images.  The Gram is summed in the column chunks OpenBLAS's dsyrk
-uses on its SkylakeX kernel and the lift runs in blocks that give one
-product's bytes, so the model is bit for bit that of one product over all
-columns; another BLAS kernel may round the last bits differently, as
-another thread count already may.
+n x d float64 matrix: its one buffer holds the k x d eigenvectors and,
+behind them, one panel.  A first pass takes each panel's column means,
+centers it and adds its products to the Gram matrix, and a second
+re-forms and centers each lift block from the images and writes its
+product into the eigenvectors.  The Gram is summed in the column chunks
+OpenBLAS's dsyrk uses on its SkylakeX kernel and the lift runs in blocks
+that give one product's bytes, so the model is bit for bit that of one
+product over all columns; another BLAS kernel may round the last bits
+differently, as another thread count already may.
 """
 
 from __future__ import annotations
@@ -107,17 +108,13 @@ def fit_eigenmodel(images: list[ImageVector], k: int) -> EigenModel:
     if len({(img.width, img.height) for img in images}) != 1:
         raise ValueError("images have mismatched dimensions")
     n, d = len(images), images[0].width * images[0].height
-    # The fit's one large buffer: an n x width panel, where width is the
-    # widest lift block if every requested component is kept.  Where the
-    # k x d eigenvectors and such a panel would not take less than one
-    # n x d matrix, width is d: the panel is that matrix, and the
-    # eigenvectors are lifted into it in place.
+    # The fit's one large buffer: room for the k x d eigenvectors at its
+    # front and, behind them, an n x width panel, where width is the widest
+    # lift block if every requested component is kept.
     most = min(k, n - 1)
     width = _widest(_lift_stops(n, d, most))
-    if most * d + n * width >= n * d:
-        width = d
-    buf = np.empty((n, width))
-    mean, gram, raw_energy = _mean_and_gram(images, buf)
+    buf = np.empty(most * d + n * width)
+    mean, gram, raw_energy = _mean_and_gram(images, buf[most * d :].reshape(n, width))
 
     lam, vecs = np.linalg.eigh(gram)
     order = np.argsort(lam)[::-1]
@@ -131,30 +128,25 @@ def fit_eigenmodel(images: list[ImageVector], k: int) -> EigenModel:
     kept = min(k, rank)
 
     sigma = np.sqrt(lam[:kept])
-    # Lift Gram eigenvectors to pixel space one column block at a time (a
-    # block reads only its own columns).  The eigenvectors stay
-    # C-contiguous, the layout a gallery file stores, so projections are
-    # bit-identical after a save and reload.
+    # Lift Gram eigenvectors to pixel space one column block at a time, each
+    # block re-formed from the images and centered behind the eigenvectors;
+    # fewer kept components than requested make the blocks wider.
     lift = vecs[:, :kept].T
     stops = _lift_stops(n, d, kept)
-    if width == d:
-        # Into the first kept rows of the centered n x d matrix, which is
-        # then shrunk in place.  No view of buf is left for the resize to
-        # invalidate; refcheck would also count a tracer's hold on this
-        # frame's locals.
-        for start, stop in zip([0, *stops], stops):
-            buf[:kept, start:stop] = lift @ buf[:, start:stop]
-        buf.resize((kept, d), refcheck=False)
-        eigvecs = buf
-    else:
-        # Each block re-formed from the images and centered in the panel;
-        # fewer kept components than requested make the blocks wider.
-        buf.resize((n, max(width, _widest(stops))), refcheck=False)
-        eigvecs = np.empty((kept, d))
-        for start, stop in zip([0, *stops], stops):
-            block = _panel(images, start, stop, buf)
-            block -= mean[start:stop]
-            np.matmul(lift, block, out=eigvecs[:, start:stop])
+    need = kept * d + n * _widest(stops)
+    if need > buf.size:
+        buf.resize(need, refcheck=False)
+    eigvecs = buf[: kept * d].reshape(kept, d)
+    for start, stop in zip([0, *stops], stops):
+        block = _panel(images, start, stop, buf[kept * d :])
+        block -= mean[start:stop]
+        np.matmul(lift, block, out=eigvecs[:, start:stop])
+    # Then shrunk in place to the eigenvectors, so they stay C-contiguous,
+    # the layout a gallery file stores, and projections are bit-identical
+    # after a save and reload.  No view of buf is used after the resize;
+    # refcheck would also count a tracer's hold on this frame's locals.
+    buf.resize((kept, d), refcheck=False)
+    eigvecs = buf
     eigvecs /= sigma[:, None]
     # Renormalize and canonicalize signs for byte-stable serialization.  A
     # row's norm sums as np.linalg.norm(axis=1) does, with no k x d temporary.
@@ -215,8 +207,7 @@ def _mean_and_gram(images: list[ImageVector], buf: np.ndarray):
     their raw pixel energy, in panels of buf's width.
 
     Each panel is a run of whole Gram chunks; it is centered in place and
-    each chunk's product added to the Gram in order.  When buf spans every
-    column, it is left holding the centered images.
+    each chunk's product added to the Gram in order.
     """
     n, width = buf.shape
     d = images[0].width * images[0].height

@@ -50,7 +50,7 @@ def _check_inputs(train_variants, k, modes, dt_divisor) -> None:
         raise ValueError(f"duplicate train_variants: {list(train_variants)}")
     eigenface.checked_k(k)
     if not recognizer.valid_dt_divisor(dt_divisor):
-        raise ValueError(f"dt_divisor must be finite and >= {sys.float_info.min}")
+        raise ValueError(f"dt_divisor must be finite and >= {sys.float_info.min}, got {dt_divisor}")
     bad = [m for m in modes if m not in recognizer.MODES]
     if bad or not modes:
         raise ValueError(f"modes must be a non-empty subset of {recognizer.MODES}")
@@ -157,10 +157,13 @@ def run_table(
     The dt_pca rows are labelled with their landmark count, so two
     manifests of one scheme are a data error.  Every split of every
     manifest is made before any image is read; one that trains on no image
-    or tests on none raises SplitRangeError.
+    or tests on none raises SplitRangeError.  No manifest is a ValueError.
     """
+    manifest_paths = tuple(manifest_paths)
     train_variants, modes = tuple(train_variants), tuple(modes)
     _check_inputs(train_variants, k, modes, dt_divisor)
+    if not manifest_paths:
+        raise ValueError("run_table needs at least one manifest")
     splits = {}  # (train_variants, manifest index) -> (train, test)
     for i, path in enumerate(manifest_paths):
         manifest = dataset_io.load_manifest(path)

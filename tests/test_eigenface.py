@@ -176,10 +176,9 @@ def test_rank_bound_nonzero_eigenvalues():
 
 
 def test_fit_peak_memory_below_two_image_matrices():
-    # The stacked n x d rows are the fit's one large buffer; the eigenvectors
-    # are lifted into its first k rows, here in one block of all 3,072
-    # columns, whose k x d product comes on top, and their norm needs no
-    # second k x d array (it measured 1.56 n*d*8 with one, 1.36 without).
+    # One block spans all 3,072 columns, so the fit's one buffer holds the
+    # k x d eigenvectors and one n x d panel, and their norm needs no second
+    # k x d array (1.36 n*d*8; a fit that had one measured 1.56).
     n, d = 40, 64 * 48
     imgs = random_images(40, n, d)
     tracemalloc.start()
@@ -192,7 +191,7 @@ def test_fit_peak_memory_below_two_image_matrices():
 
 
 def test_fit_peak_memory_below_two_image_matrices_from_uint8():
-    # Raw pixels are divided straight into the n x d rows, so uint8 images
+    # Raw pixels are divided straight into the fit's panel, so uint8 images
     # cost the fit no float copy of their own.
     n, d = 40, 64 * 48
     rng = np.random.default_rng(40)
@@ -235,6 +234,21 @@ def test_fit_peak_memory_of_a_streamed_fit_is_below_half_the_image_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * n * d * 8
+
+
+def test_fit_peak_memory_of_a_multi_block_lift():
+    # 12,288 columns lift in three 4,096-column blocks for 30 of 40 images:
+    # the k x d eigenvectors and one n x 4,096 panel (1.13 n*d*8; a lift
+    # into the stacked images, with a k x 4,096 product beside them, 1.28).
+    n, d = 40, 128 * 96
+    imgs = random_images(48, n, d)
+    tracemalloc.start()
+    try:
+        fit_eigenmodel(imgs, k=30)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * n * d * 8
 
 
 @pytest.mark.parametrize(
@@ -283,20 +297,47 @@ def test_chunked_gram_gives_the_one_product_bytes():
     assert gram_chunk_mismatches() == []
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_chunked_gram_gives_the_one_product_bytes_per_blas_thread_count(threads):
-    # The thread count is read when OpenBLAS loads, so each runs in its own
-    # interpreter.
+def mismatches_at_blas_threads(threads, name):
+    """What test_eigenface.<name>() prints in a fresh interpreter whose BLAS
+    runs `threads` threads.  The thread count is read when OpenBLAS loads,
+    so each count needs its own interpreter."""
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(dtpca.__file__))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-c", "import test_eigenface; print(test_eigenface.gram_chunk_mismatches())"],
+        [sys.executable, "-c", f"import test_eigenface; print(test_eigenface.{name}())"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_chunked_gram_gives_the_one_product_bytes_per_blas_thread_count(threads):
+    assert mismatches_at_blas_threads(threads, "gram_chunk_mismatches") == "[]"
+
+
+# (n, d, k): gallery_scan's fit, with one lift block of every column, and
+# two lifts of several blocks with k close to n.
+LIFT_SHAPES = ((450, 4800, 25), (40, 12288, 30), (45, 20000, 44))
+
+
+def lift_mismatches(shapes=LIFT_SHAPES):
+    """The shapes at which the fit's eigenvectors differ from those of one
+    product over all columns."""
+    mismatches = []
+    for n, d, k in shapes:
+        imgs = random_images(n * 100_000 + d, n, d)
+        got = fit_eigenmodel(imgs, k=k).eigenvectors
+        if got.tobytes() != oracles.one_product_eigenvectors(imgs, k).tobytes():
+            mismatches.append((n, d, k))
+    return mismatches
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_lift_gives_the_one_product_bytes_per_blas_thread_count(threads):
+    assert mismatches_at_blas_threads(threads, "lift_mismatches") == "[]"
 
 
 @pytest.mark.parametrize("d", [4095, 8191, 8192, 8193, 12345, 20000])
@@ -312,7 +353,8 @@ def test_blocked_lift_gives_the_one_product_bytes(n, d):
         assert m.k == kept
         assert m.eigenvectors.shape == (kept, d)
         assert m.eigenvectors.tobytes() == oracles.one_product_eigenvectors(imgs, kept).tobytes()
-        # Shrunk in place: the fit's own buffer, not a view of a larger one.
+        # Every fit shrinks its one buffer in place to the eigenvectors, so
+        # they own their data and are not a view of a larger array.
         assert m.eigenvectors.flags.c_contiguous and m.eigenvectors.flags.owndata
 
 

@@ -307,6 +307,26 @@ def test_bad_k_is_rejected_before_any_image_is_read(scheme_manifests, monkeypatc
         ExperimentConfig(manifest_path=scheme_manifests[0], train_variants=2, k=k)
 
 
+@pytest.mark.parametrize("divisor", [0.0, -1.0, math.nan, math.inf, 1e-310])
+def test_run_table_names_the_rejected_dt_divisor(scheme_manifests, divisor):
+    # The text recognize and the CLI give, under the same rule.
+    assert not recognizer.valid_dt_divisor(divisor)
+    with pytest.raises(ValueError, match="dt_divisor must be finite") as exc:
+        run_table(scheme_manifests, (2,), dt_divisor=divisor)
+    assert str(exc.value).endswith(f", got {divisor}")
+
+
+def test_run_table_rejects_no_manifest():
+    for paths in ([], iter([])):
+        with pytest.raises(ValueError, match="at least one manifest"):
+            run_table(paths, (1,))
+
+
+def test_run_table_takes_an_iterator_of_manifests(scheme_manifests):
+    table = run_table(iter(scheme_manifests[:1]), (2,), modes=("pca_only",), k=5)
+    assert table == run_table(scheme_manifests[:1], (2,), modes=("pca_only",), k=5)
+
+
 def test_run_table_rejects_duplicate_inputs(scheme_manifests):
     with pytest.raises(ValueError, match="duplicate train_variants"):
         run_table(scheme_manifests, (2, 2))
