@@ -211,8 +211,9 @@ MANIFEST_HEADER = ["image_path", "subject_id", "variant", "landmark_path"]
 
 def load_manifest(path) -> DatasetManifest:
     """Load a manifest CSV.  Relative file paths resolve against the
-    manifest's own directory.  Requires the exact header line and checks
-    that (subject, variant) pairs are unique and subjects are not ragged.
+    manifest's own directory.  Requires the exact header line and at least
+    one entry, and checks that (subject, variant) pairs are unique and
+    subjects are not ragged.
     """
     path = Path(path)
     base = path.parent
@@ -238,6 +239,8 @@ def load_manifest(path) -> DatasetManifest:
                 landmark_path=base / lmk,
             )
         )
+    if not entries:
+        raise DatasetFormatError(f"{path}: manifest lists no entries")
     manifest = DatasetManifest(entries=tuple(entries))
     _validate_manifest(manifest, path)
     return manifest

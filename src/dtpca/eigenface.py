@@ -14,9 +14,10 @@ centers it and adds its products to the Gram matrix, and a second
 re-forms and centers each lift block from the images and writes its
 product into the eigenvectors.  The Gram is summed in the column chunks
 OpenBLAS's dsyrk uses on its SkylakeX kernel and the lift runs in blocks
-that give one product's bytes, so the model is bit for bit that of one
-product over all columns; another BLAS kernel may round the last bits
-differently, as another thread count already may.
+of 2,048 columns or a multiple, with a large enough remainder as a block
+of its own, which give one product's bytes.  So the model is bit for bit
+that of one product over all columns; another BLAS kernel may round the
+last bits differently, as another thread count already may.
 """
 
 from __future__ import annotations
@@ -31,15 +32,16 @@ from .dataset_io import ImageVector
 # Gram eigenvalues below RANK_RTOL * largest are treated as rank deficiency.
 RANK_RTOL = 1e-10
 
-# The eigenvector lift runs in column blocks, each a multiple of LIFT_BLOCK
-# columns wide and of at least LIFT_WORK multiply-adds (columns x kept x
-# images); the last block takes the remainder, so none is smaller.  Such
-# blocks give the bytes of one product over all columns.  Under OpenBLAS a
-# product of 10**6 multiply-adds or fewer, or of one row, runs another
-# kernel, whose rounding depends on where the columns are cut, and block
-# edges off a 4,096-column grid moved bits too.  One kept row is lifted
-# whole.
-LIFT_BLOCK = 4096
+# The eigenvector lift runs in column blocks, each the smallest multiple of
+# LIFT_BLOCK columns that is at least LIFT_WORK multiply-adds (columns x
+# kept x images).  The columns left after the last such block are a block
+# of their own if they are LIFT_WORK multiply-adds too, and otherwise join
+# the last block, so none is smaller.  Such blocks give the bytes of one
+# product over all columns.  Under OpenBLAS a product of 10**6 multiply-adds
+# or fewer, or of one row, runs another kernel, whose rounding depends on
+# where the columns are cut, and block edges off the grid moved bits too.
+# One kept row is lifted whole.
+LIFT_BLOCK = 2048
 LIFT_WORK = 2**20
 
 # The Gram matrix is summed over column chunks cut as OpenBLAS's dsyrk cuts
@@ -185,8 +187,15 @@ def gram_stops(d: int) -> list[int]:
 
 def _lift_stops(n: int, d: int, kept: int) -> list[int]:
     """Where the lift's column blocks end, for kept of n Gram eigenvectors."""
-    width = d if kept < 2 else LIFT_BLOCK * -(-LIFT_WORK // (LIFT_BLOCK * kept * n))
-    return [*range(width, d - width + 1, width), d]
+    if kept < 2:
+        return [d]
+    width = LIFT_BLOCK * -(-LIFT_WORK // (LIFT_BLOCK * kept * n))
+    stops = [*range(width, d + 1, width)] or [d]
+    if (d - stops[-1]) * kept * n < LIFT_WORK:
+        stops[-1] = d
+    else:
+        stops.append(d)
+    return stops
 
 
 def _widest(stops: list[int]) -> int:

@@ -752,6 +752,16 @@ def test_evaluate_names_a_test_landmark_file_of_another_scheme(
     assert err == f"error: data: {bad}: landmark scheme mismatch: test 9 vs gallery 8\n"
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_manifest_with_only_a_header_is_named(capsys, tmp_path, command):
+    # evaluate used to exit 1 on a split range of [1, -1], and train to exit
+    # 2 on too few training images without naming the file.
+    manifest = tmp_path / "header.csv"
+    manifest.write_text("image_path,subject_id,variant,landmark_path\n")
+    rc, out, err = train_or_evaluate(capsys, command, manifest, tmp_path)
+    assert (rc, out, err) == (2, "", f"error: data: {manifest}: manifest lists no entries\n")
+
+
 def test_evaluate_names_a_manifest_that_is_not_utf8(capsys, tmp_path, synth_dataset):
     manifest = tmp_path / "manifest.csv"
     data = synth_dataset["manifest"].read_bytes()

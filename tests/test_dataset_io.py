@@ -429,6 +429,14 @@ def test_manifest_requires_header(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("body", ["", "\n\n"])
+def test_manifest_with_only_a_header_is_rejected(tmp_path, body):
+    path = tmp_path / "m.csv"
+    path.write_text("image_path,subject_id,variant,landmark_path\n" + body)
+    with pytest.raises(DatasetFormatError, match="m.csv: manifest lists no entries$"):
+        load_manifest(path)
+
+
 def test_manifest_duplicate_pair(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text(

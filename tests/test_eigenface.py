@@ -16,6 +16,7 @@ from dtpca.dataset_io import ImageVector, load_image, load_manifest
 from dtpca.eigenface import (
     ImageSizeError,
     ZeroVarianceError,
+    _lift_stops,
     fit_eigenmodel,
     gram_stops,
     project,
@@ -206,9 +207,9 @@ def test_fit_peak_memory_below_two_image_matrices_from_uint8():
 
 
 def test_fit_peak_memory_of_a_blocked_lift():
-    # 19,200 columns lift in blocks of 4,096, the last one 6,912 wide, so
-    # the fit streams them through one n x 6,912 panel beside the k x d
-    # eigenvectors (1.04 n*d*8).
+    # 19,200 columns lift in blocks of 2,048, the last one 2,816 wide, so
+    # the fit streams them through one n x 2,816 panel beside the k x d
+    # eigenvectors (0.81 n*d*8).
     n, d = 40, 160 * 120
     imgs = random_images(45, n, d)
     tracemalloc.start()
@@ -222,7 +223,7 @@ def test_fit_peak_memory_of_a_blocked_lift():
 
 def test_fit_peak_memory_of_a_streamed_fit_is_below_half_the_image_matrix():
     # With k much smaller than n, the fit holds no n x d matrix: the k x d
-    # eigenvectors, the mean and one n x 7,232 panel (0.38 n*d*8; a fit
+    # eigenvectors, the mean and one n x 3,136 panel (0.27 n*d*8; a fit
     # that stacks the images needs about n*d*8).
     n, d = 60, 200 * 200
     rng = np.random.default_rng(47)
@@ -237,8 +238,8 @@ def test_fit_peak_memory_of_a_streamed_fit_is_below_half_the_image_matrix():
 
 
 def test_fit_peak_memory_of_a_multi_block_lift():
-    # 12,288 columns lift in three 4,096-column blocks for 30 of 40 images:
-    # the k x d eigenvectors and one n x 4,096 panel (1.13 n*d*8; a lift
+    # 12,288 columns lift in six 2,048-column blocks for 30 of 40 images:
+    # the k x d eigenvectors and one n x 2,048 panel (0.97 n*d*8; a lift
     # into the stacked images, with a k x 4,096 product beside them, 1.28).
     n, d = 40, 128 * 96
     imgs = random_images(48, n, d)
@@ -249,6 +250,40 @@ def test_fit_peak_memory_of_a_multi_block_lift():
     finally:
         tracemalloc.stop()
     assert peak < 1.2 * n * d * 8
+
+
+def test_fit_peak_memory_at_the_gallery_scan_shape():
+    # gallery_scan's 450 images of 80 x 60 lift in blocks of 2,048, 2,048
+    # and 704 columns, so the panel is n x 2,048 and not the whole n x d
+    # image matrix beside the k x d eigenvectors (0.77 n*d*8; a panel of
+    # every column, 1.34).
+    n, d = 450, 80 * 60
+    rng = np.random.default_rng(50)
+    imgs = [image(rng.integers(0, 256, size=d, dtype=np.uint8)) for _ in range(n)]
+    tracemalloc.start()
+    try:
+        fit_eigenmodel(imgs, k=25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.9 * n * d * 8
+
+
+@pytest.mark.parametrize(
+    "n,d,kept,widths",
+    [
+        (450, 4800, 25, [2048, 2048, 704]),
+        (135, 77760, 25, [2048] * 37 + [1984]),
+        # 57 columns x 25 x 45 are too few multiply-adds for a product of
+        # their own, so they join the last block.
+        (45, 4153, 25, [2048, 2105]),
+        (450, 4800, 1, [4800]),
+        (450, 1000, 25, [1000]),
+    ],
+)
+def test_lift_block_widths(n, d, kept, widths):
+    stops = _lift_stops(n, d, kept)
+    assert [b - a for a, b in zip([0, *stops], stops)] == widths
 
 
 @pytest.mark.parametrize(
@@ -318,9 +353,10 @@ def test_chunked_gram_gives_the_one_product_bytes_per_blas_thread_count(threads)
     assert mismatches_at_blas_threads(threads, "gram_chunk_mismatches") == "[]"
 
 
-# (n, d, k): gallery_scan's fit, with one lift block of every column, and
-# two lifts of several blocks with k close to n.
-LIFT_SHAPES = ((450, 4800, 25), (40, 12288, 30), (45, 20000, 44))
+# (n, d, k): gallery_scan's fit, whose 704-column remainder is a lift block
+# of its own, two lifts of several blocks with k close to n, and the
+# paper's 320 x 243 images.
+LIFT_SHAPES = ((450, 4800, 25), (40, 12288, 30), (45, 20000, 44), (45, 77760, 25))
 
 
 def lift_mismatches(shapes=LIFT_SHAPES):
@@ -340,13 +376,14 @@ def test_lift_gives_the_one_product_bytes_per_blas_thread_count(threads):
     assert mismatches_at_blas_threads(threads, "lift_mismatches") == "[]"
 
 
-@pytest.mark.parametrize("d", [4095, 8191, 8192, 8193, 12345, 20000])
+@pytest.mark.parametrize("d", [4095, 4996, 5096, 8191, 8192, 8193, 12345, 20000])
 @pytest.mark.parametrize("n", [2, 3, 16, 45])
 def test_blocked_lift_gives_the_one_product_bytes(n, d):
-    # One block below 8,192 columns, two or more above for 45 images.  With
-    # 16 images and 8 or 15 kept, 4,096 columns are at most 10**6
-    # multiply-adds, so the blocks are 8,192 wide: 4,096-column blocks
-    # rounded the last columns of 8,193 otherwise.
+    # For 45 images the blocks are 2,048 columns wide but the last: the 900-
+    # and 1,000-column remainders of 4,996 and 5,096 are blocks of their own
+    # for 44 kept and join the last block for 22.  With
+    # 16 images and 8 or 15 kept, 2,048 columns are at most 10**6
+    # multiply-adds, so the blocks are 8,192 or 6,144 wide.
     imgs = random_images(n * 100_000 + d, n, d)
     for kept in sorted({1, n // 2, n - 1}):
         m = fit_eigenmodel(imgs, k=kept)
