@@ -300,6 +300,10 @@ def split_dataset(
     if len(counts) > 1:
         raise ValueError(f"ragged subjects: variant counts {sorted(counts)}")
     per_subject = counts.pop() if counts else 0
+    if per_subject < 2:
+        raise ValueError(
+            f"a split needs at least 2 variants per subject, the manifest has {per_subject}"
+        )
     if not 1 <= k < per_subject:
         raise ValueError(
             f"train_variants_per_subject={k} out of range [1, {per_subject - 1}]"

@@ -12,12 +12,15 @@ n x d float64 matrix: its one buffer holds the k x d eigenvectors and,
 behind them, one panel.  A first pass takes each panel's column means,
 centers it and adds its products to the Gram matrix, and a second
 re-forms and centers each lift block from the images and writes its
-product into the eigenvectors.  The Gram is summed in the column chunks
-OpenBLAS's dsyrk uses on its SkylakeX kernel and the lift runs in blocks
-of 2,048 columns or a multiple, with a large enough remainder as a block
-of its own, which give one product's bytes.  So the model is bit for bit
-that of one product over all columns; another BLAS kernel may round the
-last bits differently, as another thread count already may.
+product into the eigenvectors.  Between them the buffer gives its panel
+back while the Gram is eigendecomposed, and only the kept Gram
+eigenvectors are reordered for the lift.  The Gram is summed in the
+column chunks OpenBLAS's dsyrk uses on its SkylakeX kernel and the lift
+runs in blocks of 2,048 columns or a multiple, with a large enough
+remainder as a block of its own, which give one product's bytes.  So
+the model is bit for bit that of one product over all columns; another
+BLAS kernel may round the last bits differently, as another thread count
+already may.
 """
 
 from __future__ import annotations
@@ -117,11 +120,14 @@ def fit_eigenmodel(images: list[ImageVector], k: int) -> EigenModel:
     width = _widest(_lift_stops(n, d, most))
     buf = np.empty(most * d + n * width)
     mean, gram, raw_energy = _mean_and_gram(images, buf[most * d :].reshape(n, width))
+    # Nothing reads the panel again before the lift, so it is given back
+    # before eigh allocates; the front, not yet written, is kept.
+    buf.resize(most * d, refcheck=False)
 
     lam, vecs = np.linalg.eigh(gram)
+    del gram
     order = np.argsort(lam)[::-1]
     lam = lam[order]
-    vecs = vecs[:, order]
 
     eps = np.finfo(float).eps
     if lam[0] <= max(raw_energy, 1.0) * (64 * eps) ** 2:
@@ -130,14 +136,15 @@ def fit_eigenmodel(images: list[ImageVector], k: int) -> EigenModel:
     kept = min(k, rank)
 
     sigma = np.sqrt(lam[:kept])
-    # Lift Gram eigenvectors to pixel space one column block at a time, each
-    # block re-formed from the images and centered behind the eigenvectors;
-    # fewer kept components than requested make the blocks wider.
-    lift = vecs[:, :kept].T
+    # Only the kept Gram eigenvectors are reordered, and no n x n array is
+    # held through the lift.  They are lifted to pixel space one column
+    # block at a time, each block re-formed from the images and centered
+    # behind the eigenvectors in the regrown buffer; fewer kept components
+    # than requested make the blocks wider.
+    lift = vecs[:, order[:kept]].T
+    del vecs
     stops = _lift_stops(n, d, kept)
-    need = kept * d + n * _widest(stops)
-    if need > buf.size:
-        buf.resize(need, refcheck=False)
+    buf.resize(kept * d + n * _widest(stops), refcheck=False)
     eigvecs = buf[: kept * d].reshape(kept, d)
     for start, stop in zip([0, *stops], stops):
         block = _panel(images, start, stop, buf[kept * d :])

@@ -762,6 +762,26 @@ def test_manifest_with_only_a_header_is_named(capsys, tmp_path, command):
     assert (rc, out, err) == (2, "", f"error: data: {manifest}: manifest lists no entries\n")
 
 
+def test_evaluate_names_a_manifest_with_one_variant_per_subject(capsys, tmp_path, synth_dataset):
+    entries = load_manifest(synth_dataset["manifest"]).entries
+    manifest = tmp_path / "one_variant.csv"
+    first = tuple(e for e in entries if e.variant == entries[0].variant)
+    save_manifest(DatasetManifest(first), manifest)
+    rc, out, err = run_cli(
+        capsys,
+        "evaluate",
+        "--manifest", str(manifest),
+        "--train-variants", "1",
+        "--modes", "pca-only",
+        "--report", "text",
+    )
+    assert (rc, out) == (1, "")
+    assert err == (
+        f"error: usage: {manifest}: "
+        "a split needs at least 2 variants per subject, the manifest has 1\n"
+    )
+
+
 def test_evaluate_names_a_manifest_that_is_not_utf8(capsys, tmp_path, synth_dataset):
     manifest = tmp_path / "manifest.csv"
     data = synth_dataset["manifest"].read_bytes()

@@ -492,6 +492,14 @@ def test_split_dataset_out_of_range():
         split_dataset(m, 4)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_split_dataset_names_too_few_variants_per_subject(k):
+    # It used to say "train_variants_per_subject=1 out of range [1, 0]".
+    with pytest.raises(ValueError) as info:
+        split_dataset(_manifest(3, 1), k)
+    assert str(info.value) == "a split needs at least 2 variants per subject, the manifest has 1"
+
+
 def test_split_dataset_ragged():
     entries = list(_manifest(2, 3).entries)[:-1]
     with pytest.raises(ValueError):
