@@ -7,6 +7,11 @@ to pixel space, which is exactly equivalent to an SVD of the centered
 data matrix.  Matching happens in eigenspace via plain Euclidean distance
 over the retained k coordinates.
 
+A projection is `eigenvectors.dot(centered)`, not `eigenvectors @
+centered`.  The two give the same bits, but `@` holds the GIL through
+its one matrix-vector product, and ndarray.dot releases it, so a query
+can triangulate its landmarks on another thread while the product runs.
+
 The fit streams the images in column panels and never holds them as one
 n x d float64 matrix: its one buffer holds the k x d eigenvectors and,
 behind them, one panel.  A first pass takes each panel's column means,
@@ -250,9 +255,10 @@ def _mean_and_gram(images: list[ImageVector], buf: np.ndarray):
     return mean, gram, raw_energy
 
 
-def project(model: EigenModel, image: ImageVector) -> np.ndarray:
-    """Coordinates of an image in the model's eigenspace: a length-k vector.
-    Raises ImageSizeError unless the image has the model's width and height."""
+def centered(model: EigenModel, image: ImageVector) -> np.ndarray:
+    """An image's normalized intensities less the model's mean, the vector
+    project multiplies.  Raises ImageSizeError unless the image has the
+    model's width and height."""
     if (image.width, image.height) != (model.width, model.height):
         raise ImageSizeError(
             f"image is {image.width}x{image.height}, "
@@ -260,4 +266,10 @@ def project(model: EigenModel, image: ImageVector) -> np.ndarray:
         )
     x = image.normalized()
     x -= model.mean
-    return model.eigenvectors @ x
+    return x
+
+
+def project(model: EigenModel, image: ImageVector) -> np.ndarray:
+    """Coordinates of an image in the model's eigenspace: a length-k vector.
+    Raises ImageSizeError unless the image has the model's width and height."""
+    return model.eigenvectors.dot(centered(model, image))

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import threading
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -26,6 +27,13 @@ from .dataset_io import ImageVector
 from .eigenface import EigenModel
 
 DEFAULT_DT_DIVISOR = 0.001
+
+# A dt_pca query whose image has the model's size triangulates its
+# landmarks on a worker thread while the eigenface product runs when that
+# product is at least OVERLAP_WORK multiply-adds (k x width x height),
+# 1.5 to 2 times where the overlap was measured to start paying for its
+# hand-off.  Smaller queries run one step after the other.
+OVERLAP_WORK = 2**19
 
 
 def valid_dt_divisor(value: float) -> bool:
@@ -168,6 +176,41 @@ def build_gallery(model: EigenModel, train) -> Gallery:
     )
 
 
+def _ra_avg(triangulate) -> float:
+    """The average relative area of the mesh triangulate() returns, or
+    LandmarkError with delaunay's reason."""
+    try:
+        return triangulate().average_relative_area
+    except ValueError as exc:
+        raise LandmarkError(str(exc)) from None
+
+
+# The one worker thread of a large dt_pca query, made by its first such
+# query, so neither importing dtpca nor a small query pays for the thread
+# or for importing concurrent.futures.  A forked child has no copy of the
+# thread, so it drops the executor and makes its own.
+_executor = None
+_executor_lock = threading.Lock()
+
+
+def _worker():
+    global _executor
+    with _executor_lock:
+        if _executor is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _executor = ThreadPoolExecutor(1, thread_name_prefix="dtpca-delaunay")
+        return _executor
+
+
+def _drop_worker():
+    global _executor, _executor_lock
+    _executor, _executor_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_worker)
+
+
 def recognize(
     gallery: Gallery,
     model: EigenModel,
@@ -184,6 +227,11 @@ def recognize(
     gallery or cannot be triangulated raise LandmarkError.  Ties go to the
     lowest row index.  dt_divisor must be finite and at least the smallest
     normal double: D < 1, so D / dt_divisor then stays finite.
+
+    A dt_pca query whose image has the model's size and whose product is
+    at least OVERLAP_WORK multiply-adds triangulates on one worker thread
+    while the calling thread projects; it gives the same report and raises
+    the same errors as one step after the other.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -192,7 +240,7 @@ def recognize(
     if not gallery.subjects:
         raise ValueError("empty gallery")
 
-    tt_avg = None
+    tt_avg = coords = None
     if mode == "dt_pca":
         if test_landmarks is None:
             raise ValueError("dt_pca mode requires test landmarks")
@@ -203,12 +251,22 @@ def recognize(
                 f"landmark scheme mismatch: test {len(test_landmarks)} "
                 f"vs gallery {gallery.scheme}"
             )
-        try:
-            tt_avg = geometry.delaunay(test_landmarks).average_relative_area
-        except ValueError as exc:
-            raise LandmarkError(str(exc)) from None
+        if (test_image.width, test_image.height) == (model.width, model.height) and (
+            model.k * model.width * model.height >= OVERLAP_WORK
+        ):
+            # The sweep is Python and the product native code that releases
+            # the GIL, so the two run on two cores.  The image is centered
+            # first: its ufuncs release the GIL too, and would then wait
+            # for the sweep to end to take it back.
+            x = eigenface.centered(model, test_image)
+            mesh = _worker().submit(geometry.delaunay, test_landmarks)
+            coords = model.eigenvectors.dot(x)
+            tt_avg = _ra_avg(mesh.result)
+        else:
+            tt_avg = _ra_avg(lambda: geometry.delaunay(test_landmarks))
 
-    coords = eigenface.project(model, test_image)
+    if coords is None:
+        coords = eigenface.project(model, test_image)
     if gallery.coords.shape[1:] != coords.shape:
         raise ValueError(f"coordinate length mismatch: {gallery.coords.shape} vs {coords.shape}")
     diff = coords - gallery.coords

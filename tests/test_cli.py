@@ -6,7 +6,7 @@ import stat
 import pytest
 
 import oracles
-from dtpca import cli, dataset_io, eigenface
+from dtpca import cli, dataset_io, eigenface, recognizer, synthetic
 from dtpca.dataset_io import (
     DatasetManifest,
     load_landmarks,
@@ -512,6 +512,37 @@ def test_recognize_names_landmarks_of_another_scheme(capsys, tmp_path, scheme_ma
     assert rc == 2
     assert out == ""
     assert err == f"error: data: {bad}: landmark scheme mismatch: test 9 vs gallery 8\n"
+
+
+def test_recognize_large_query_names_duplicate_landmarks(
+    capsys, tmp_path_factory, write_landmarks
+):
+    # At 320x243 with k = 8 the query's product reaches OVERLAP_WORK, so
+    # its landmarks are triangulated on the worker thread; the exit code
+    # and the message are the sequential order's.
+    root = tmp_path_factory.mktemp("large")
+    manifest = synthetic.make_dataset(
+        root, subjects=3, variants=3, width=320, height=243, schemes=(68,), seed=3
+    )[68]
+    gallery = root / "gallery.bin"
+    rc, _, err = run_cli(capsys, "train", "--manifest", str(manifest), "--k", "8",
+                         "--out", str(gallery))
+    assert rc == 0, err
+    assert 8 * 320 * 243 >= recognizer.OVERLAP_WORK
+    points = load_landmarks(root / "landmarks68" / "s01_v1.csv")
+    points[5] = points[3]
+    path = write_landmarks("dup.csv", points)
+    rc, out, err = run_cli(
+        capsys,
+        "recognize",
+        "--gallery", str(gallery),
+        "--image", str(root / "images" / "s01_v1.pgm"),
+        "--landmarks", str(path),
+        "--mode", "dt-pca",
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: data: {path}: duplicate point ({points[3, 0]}, {points[3, 1]})\n"
 
 
 def test_recognize_dt_pca_requires_landmarks(capsys, synth_dataset, trained_gallery):

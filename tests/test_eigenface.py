@@ -14,9 +14,11 @@ import oracles
 from dtpca import synthetic
 from dtpca.dataset_io import ImageVector, load_image, load_manifest
 from dtpca.eigenface import (
+    EigenModel,
     ImageSizeError,
     ZeroVarianceError,
     _lift_stops,
+    centered,
     fit_eigenmodel,
     gram_stops,
     project,
@@ -429,6 +431,32 @@ def test_regrown_lift_gives_the_one_product_bytes_per_blas_thread_count(threads)
     n, d = 40, 128 * 96
     assert _lift_stops(n, d, 30)[0] == 2048 and _lift_stops(n, d, 4) == [d]
     assert mismatches_at_blas_threads(threads, "regrown_lift_mismatches") == "[]"
+
+
+def dot_projection_mismatches():
+    """The (k, d, view) cases where project, which multiplies with
+    ndarray.dot, differs from `eigenvectors @ centered`.  view marks
+    read-only frombuffer views, the arrays load_gallery gives."""
+    rng = np.random.default_rng(29)
+    mismatches = []
+    for k in (1, 2, 7, 25, 30):
+        for width, height in ((3, 1), (10, 8), (80, 60), (320, 243), (400, 250)):
+            d = width * height
+            mean, vecs = rng.uniform(0, 1, d), rng.standard_normal((k, d))
+            img = ImageVector(width, height, rng.uniform(0, 1, d))
+            for view in (False, True):
+                if view:
+                    mean = np.frombuffer(mean.tobytes(), "<f8")
+                    vecs = np.frombuffer(vecs.tobytes(), "<f8").reshape(k, d)
+                model = EigenModel(width, height, mean, vecs, np.ones(k), k, k)
+                if project(model, img).tobytes() != (vecs @ centered(model, img)).tobytes():
+                    mismatches.append((k, d, view))
+    return mismatches
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_dot_projection_gives_the_matmul_bytes_per_blas_thread_count(threads):
+    assert mismatches_at_blas_threads(threads, "dot_projection_mismatches") == "[]"
 
 
 @pytest.mark.parametrize("d", [4095, 4996, 5096, 8191, 8192, 8193, 12345, 20000])

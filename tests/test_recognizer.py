@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import signal
+import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 import zlib
@@ -9,13 +13,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import dtpca
 import oracles
-from dtpca import geometry
+from dtpca import geometry, recognizer
 from dtpca.dataset_io import ImageVector
-from dtpca.eigenface import fit_eigenmodel, project
+from dtpca.eigenface import ImageSizeError, fit_eigenmodel, project
 from dtpca.recognizer import (
     GALLERY_ARRAYS,
+    OVERLAP_WORK,
     GalleryFormatError,
+    LandmarkError,
     TrainingRecord,
     build_gallery,
     load_gallery,
@@ -620,3 +627,158 @@ def test_load_gallery_subjects_length_mismatch(saved_gallery):
 def test_load_gallery_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_gallery(tmp_path / "missing.json")
+
+
+# --- the overlapped dt_pca query ----------------------------------------------
+
+@pytest.fixture(scope="module")
+def large_query(tmp_path_factory):
+    """A 320x243 model whose product, k x width x height, reaches
+    OVERLAP_WORK, its gallery as fitted and as reloaded from a file, and a
+    test image with landmarks."""
+    rng = np.random.default_rng(23)
+    width, height, n = 320, 243, 9
+
+    def image():
+        return ImageVector(width, height, rng.uniform(0, 1, width * height))
+
+    records = [
+        TrainingRecord(image(), rng.uniform(0, 100, (12, 2)), f"s{i % 3}", f"v{i}", "")
+        for i in range(n)
+    ]
+    model = fit_eigenmodel([r.image for r in records], k=n - 1)
+    assert model.k * width * height >= OVERLAP_WORK
+    gallery = build_gallery(model, records)
+    path = tmp_path_factory.mktemp("large") / "gallery.bin"
+    save_gallery(gallery, model, path)
+    return {
+        "fitted": (gallery, model),
+        "reloaded": load_gallery(path),
+        "image": image(),
+        "landmarks": rng.uniform(0, 100, (12, 2)),
+    }
+
+
+@pytest.fixture
+def mesh_threads(monkeypatch):
+    """The ident of the thread each delaunay call ran on, in call order."""
+    idents = []
+    delaunay = geometry.delaunay
+
+    def spy(points):
+        idents.append(threading.get_ident())
+        return delaunay(points)
+
+    monkeypatch.setattr(geometry, "delaunay", spy)
+    return idents
+
+
+def sequential(monkeypatch):
+    """From here on, every query runs one step after the other."""
+    monkeypatch.setattr(recognizer, "OVERLAP_WORK", math.inf)
+
+
+@pytest.mark.parametrize("source", ["fitted", "reloaded"])
+def test_overlapped_query_equals_the_sequential_one(large_query, mesh_threads, monkeypatch, source):
+    gallery, model = large_query[source]
+    args = (gallery, model, large_query["image"], large_query["landmarks"], "dt_pca")
+    overlapped = recognize(*args)
+    sequential(monkeypatch)
+    one_by_one = recognize(*args)
+    caller = threading.get_ident()
+    assert [ident != caller for ident in mesh_threads] == [True, False]
+    assert overlapped.best_index == one_by_one.best_index
+    for name in ("ed", "d", "rv"):
+        assert np.array_equal(getattr(overlapped, name), getattr(one_by_one, name))
+
+
+def test_small_and_pca_only_queries_never_use_the_worker(flip_fixture, large_query, monkeypatch):
+    monkeypatch.setattr(recognizer, "_worker", lambda: pytest.fail("the worker was used"))
+    gallery, model = large_query["reloaded"]
+    recognize(gallery, model, large_query["image"], None, "pca_only")
+    model, gallery, test_image, test_landmarks = flip_fixture
+    recognize(gallery, model, test_image, test_landmarks, "dt_pca")
+
+
+def unmeshable(landmarks, kind):
+    bad = landmarks.copy()
+    if kind == "duplicate":
+        bad[5] = bad[3]
+    else:
+        bad[:, 1] = 2 * bad[:, 0] + 1
+    return bad
+
+
+def query_error(query):
+    with pytest.raises(ValueError) as info:
+        query()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("kind", ["duplicate", "collinear"])
+def test_overlapped_query_rejects_unmeshable_landmarks(large_query, monkeypatch, kind):
+    gallery, model = large_query["reloaded"]
+    image, landmarks = large_query["image"], large_query["landmarks"]
+    bad = unmeshable(landmarks, kind)
+    error = query_error(lambda: recognize(gallery, model, image, bad, "dt_pca"))
+    assert error[0] is LandmarkError
+    assert kind in error[1]
+    # The worker outlives the rejection: the next query on it succeeds.
+    report = recognize(gallery, model, image, landmarks, "dt_pca")
+    sequential(monkeypatch)
+    assert query_error(lambda: recognize(gallery, model, image, bad, "dt_pca")) == error
+    assert np.array_equal(recognize(gallery, model, image, landmarks, "dt_pca").rv, report.rv)
+
+
+@pytest.mark.parametrize("width, height", [(243, 320), (320, 242)])
+@pytest.mark.parametrize("kind", ["good", "duplicate", "collinear"])
+def test_wrong_size_image_raises_what_the_sequential_order_raises(
+    large_query, mesh_threads, kind, width, height
+):
+    # A wrong-size image never overlaps: bad landmarks are named first, as
+    # in the sequential order, and good ones leave the image's size error.
+    gallery, model = large_query["reloaded"]
+    image = ImageVector(width, height, np.full(width * height, 0.5))
+    landmarks = large_query["landmarks"]
+    if kind != "good":
+        landmarks = unmeshable(landmarks, kind)
+    error = query_error(lambda: recognize(gallery, model, image, landmarks, "dt_pca"))
+    assert error[0] is (ImageSizeError if kind == "good" else LandmarkError)
+    assert mesh_threads == [threading.get_ident()]
+
+
+def test_forked_child_makes_its_own_worker(large_query):
+    gallery, model = large_query["reloaded"]
+    args = (gallery, model, large_query["image"], large_query["landmarks"], "dt_pca")
+    # This query leaves the parent with its worker thread, which the child
+    # does not inherit; the child's query must make its own.
+    expected = recognize(*args).rv
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(recognize(*args).rv, expected) else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's overlapped query did not finish in 30 s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def test_import_starts_no_thread_and_skips_concurrent_futures():
+    src = os.path.dirname(os.path.dirname(dtpca.__file__))
+    code = (
+        "import sys, threading, dtpca; "
+        "print('concurrent.futures' in sys.modules, threading.active_count())"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "1"]
