@@ -2,9 +2,9 @@
 
 Images are 8-bit grayscale PGM (binary P5 or ASCII P2, maxval 255),
 flattened row-major and kept as their raw uint8 pixels, one byte each; a
-pixel's intensity is its value divided by exactly 255.  An ImageVector may
-instead hold float intensities, and ImageVector.normalized() is the single
-place the two representations meet.  Landmarks are
+pixel's intensity is its value divided by exactly 255, which
+ImageVector.normalized() gives.  The eigenface fit sums its Gram from the
+integer pixels, so an ImageVector holds uint8 pixels only.  Landmarks are
 one "x,y" pair per line.  A manifest CSV lists the images of a dataset with
 their subject id, variant label, and landmark file; train/test splitting is
 deterministic (first k variants per subject, in manifest order).
@@ -28,15 +28,9 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ImageVector:
-    """A grayscale image flattened row-major.
-
-    values is a 1-D array of length width * height in one of two
-    representations: raw 8-bit pixels (dtype uint8, as load_image returns
-    them; intensity = value / 255) or float intensities (any floating
-    dtype, as synthetic images and tests build them), which must all be
-    finite and are held as a read-only copy.  normalized() is the single
-    place the two meet.
-    """
+    """A grayscale image flattened row-major: values is a 1-D uint8 array
+    of length width * height, the raw 8-bit pixels load_image returns, and
+    a pixel's intensity is its value / 255."""
 
     width: int
     height: int
@@ -44,36 +38,17 @@ class ImageVector:
 
     def __post_init__(self):
         v = self.values
-        if not (
-            isinstance(v, np.ndarray)
-            and v.ndim == 1
-            and (v.dtype == np.uint8 or np.issubdtype(v.dtype, np.floating))
-        ):
-            raise ValueError("values must be a 1-D array of dtype uint8 or float")
+        if not (isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype == np.uint8):
+            raise ValueError("values must be a 1-D array of dtype uint8")
         if len(v) != self.width * self.height:
             raise ValueError(f"value count {len(v)} != {self.width}x{self.height}")
-        if v.dtype != np.uint8:
-            # Copied, so no later write can make a value non-finite and the
-            # caller's array stays writable.
-            v = v.copy()
-            v.flags.writeable = False
-            if not np.isfinite(v).all():
-                raise ValueError("non-finite pixel value")
-            object.__setattr__(self, "values", v)
 
     def normalized(self, start=0, stop=None, out=None) -> np.ndarray:
-        """The intensities of values[start:stop] as float64: uint8 pixels
-        divided by exactly 255, float values copied unchanged.  Written
-        into `out` when given."""
-        values = self.values[start:stop]
-        if values.dtype == np.uint8:
-            # Divide rather than multiply by 1/255: the product rounds
-            # differently for 24 of the 256 pixel values.
-            return np.divide(values, 255.0, out=out)
-        if out is None:
-            return values.astype(np.float64)
-        out[:] = values
-        return out
+        """The intensities of values[start:stop] as float64, each pixel
+        divided by exactly 255.  Written into `out` when given."""
+        # Divide rather than multiply by 1/255: the product rounds
+        # differently for 24 of the 256 pixel values.
+        return np.divide(self.values[start:stop], 255.0, out=out)
 
 
 @dataclass(frozen=True)
@@ -158,13 +133,9 @@ def load_image(path) -> ImageVector:
 
 
 def save_image(image: ImageVector, path) -> None:
-    """Write an ImageVector as binary P5.  uint8 values are written as they
-    are; float values are rounded from values * 255 and clipped to [0, 255]."""
-    raw = image.values
-    if raw.dtype != np.uint8:
-        raw = np.clip(np.rint(raw * 255.0), 0, 255).astype(np.uint8)
+    """Write an ImageVector's pixels as binary P5."""
     header = f"P5\n{image.width} {image.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + raw.tobytes())
+    Path(path).write_bytes(header + image.values.tobytes())
 
 
 def _read_lines(path: Path) -> list[str]:

@@ -14,18 +14,22 @@ can triangulate its landmarks on another thread while the product runs.
 
 The fit streams the images in column panels and never holds them as one
 n x d float64 matrix: its one buffer holds the k x d eigenvectors and,
-behind them, one panel.  A first pass takes each panel's column means,
-centers it and adds its products to the Gram matrix, and a second
-re-forms and centers each lift block from the images and writes its
-product into the eigenvectors.  Between them the buffer gives its panel
-back while the Gram is eigendecomposed, and only the kept Gram
-eigenvectors are reordered for the lift.  The Gram is summed in the
-column chunks OpenBLAS's dsyrk uses on its SkylakeX kernel and the lift
-runs in blocks of 2,048 columns or a multiple, with a large enough
-remainder as a block of its own, which give one product's bytes.  So
-the model is bit for bit that of one product over all columns; another
-BLAS kernel may round the last bits differently, as another thread count
-already may.
+behind them, one panel.  A first pass copies each panel's raw uint8
+pixels, adds its product to the raw Gram S and sums its columns.  Every
+partial sum is an integer of at most d * 255**2, below 2**53, so S and
+the column sums are exact in any order, on any BLAS kernel and at any
+thread count.  The mean is the column sums over 255 * n, and the
+centered Gram times n**2 * 255**2 is the integer n**2 * S - n * (r_a +
+r_b) + t, where r holds S's row sums and t their total; it is formed in
+int64, below 2**63, and divided once.  A fit whose d * 255**2 reaches
+2**53, or whose 4 * n**2 * d * 255**2 reaches 2**63, is refused.  The
+second pass re-forms and centers each lift block from the images and
+writes its product into the eigenvectors.  Between them the buffer gives
+its panel back while the Gram is eigendecomposed, and only the kept Gram
+eigenvectors are reordered for the lift.  The lift runs in blocks of
+2,048 columns or a multiple, with a large enough remainder as a block of
+its own, which give one product's bytes.  So the model is bit for bit
+that of one lift product over all columns from the exact Gram.
 """
 
 from __future__ import annotations
@@ -51,14 +55,6 @@ RANK_RTOL = 1e-10
 # One kept row is lifted whole.
 LIFT_BLOCK = 2048
 LIFT_WORK = 2**20
-
-# The Gram matrix is summed over column chunks cut as OpenBLAS's dsyrk cuts
-# its inner dimension (GEMM_Q, 384 columns on its SkylakeX kernel, where
-# this was measured): 384 columns at a time, with a remainder of 385 to
-# 767 columns halved.  Each chunk is then one kernel pass, and the chunk
-# products added in order give the bytes of one product over all
-# columns.  Plain 384-column chunks do not.
-GRAM_BLOCK = 384
 
 
 class ZeroVarianceError(ValueError):
@@ -109,8 +105,8 @@ def fit_eigenmodel(images: list[ImageVector], k: int) -> EigenModel:
     """Fit the eigenspace of a training set, keeping min(k, rank) components.
 
     Raises ZeroVarianceError when every training image is identical, and
-    ValueError for fewer than 2 images, mismatched dimensions, or a k that
-    checked_k rejects.
+    ValueError for fewer than 2 images, mismatched dimensions, too many
+    pixels for an exact Gram, or a k that checked_k rejects.
     """
     k = checked_k(k)
     if len(images) < 2:
@@ -118,13 +114,18 @@ def fit_eigenmodel(images: list[ImageVector], k: int) -> EigenModel:
     if len({(img.width, img.height) for img in images}) != 1:
         raise ValueError("images have mismatched dimensions")
     n, d = len(images), images[0].width * images[0].height
+    if d * 255**2 >= 2**53 or 4 * n**2 * d * 255**2 >= 2**63:
+        raise ValueError(
+            f"{n} images of {d} pixels are too many for an exact Gram: "
+            "d * 255**2 must be below 2**53 and 4 * n**2 * d * 255**2 below 2**63"
+        )
     # The fit's one large buffer: room for the k x d eigenvectors at its
     # front and, behind them, an n x width panel, where width is the widest
     # lift block if every requested component is kept.
     most = min(k, n - 1)
     width = _widest(_lift_stops(n, d, most))
     buf = np.empty(most * d + n * width)
-    mean, gram, raw_energy = _mean_and_gram(images, buf[most * d :].reshape(n, width))
+    mean, gram = _mean_and_gram(images, buf[most * d :].reshape(n, width))
     # Nothing reads the panel again before the lift, so it is given back
     # before eigh allocates; the front, not yet written, is kept.
     buf.resize(most * d, refcheck=False)
@@ -133,10 +134,6 @@ def fit_eigenmodel(images: list[ImageVector], k: int) -> EigenModel:
     del gram
     order = np.argsort(lam)[::-1]
     lam = lam[order]
-
-    eps = np.finfo(float).eps
-    if lam[0] <= max(raw_energy, 1.0) * (64 * eps) ** 2:
-        raise ZeroVarianceError("training images are all identical")
     rank = int(np.sum(lam > RANK_RTOL * lam[0]))
     kept = min(k, rank)
 
@@ -180,23 +177,6 @@ def fit_eigenmodel(images: list[ImageVector], k: int) -> EigenModel:
     )
 
 
-def gram_stops(d: int) -> list[int]:
-    """Where the Gram's column chunks over d columns end, in order: every
-    GRAM_BLOCK columns, and a remainder of GRAM_BLOCK + 1 to 2 * GRAM_BLOCK - 1
-    columns in two, the first (m + 1) // 2 wide."""
-    stops, start = [], 0
-    while start < d:
-        left = d - start
-        if left >= 2 * GRAM_BLOCK:
-            start += GRAM_BLOCK
-        elif left > GRAM_BLOCK:
-            start += (left + 1) // 2
-        else:
-            start = d
-        stops.append(start)
-    return stops
-
-
 def _lift_stops(n: int, d: int, kept: int) -> list[int]:
     """Where the lift's column blocks end, for kept of n Gram eigenvectors."""
     if kept < 2:
@@ -214,45 +194,53 @@ def _widest(stops: list[int]) -> int:
     return max(stop - start for start, stop in zip([0, *stops], stops))
 
 
-def _panel(images: list[ImageVector], start: int, stop: int, buf: np.ndarray) -> np.ndarray:
-    """Columns start:stop of the images' intensities, written into the
-    front of buf as a C-contiguous n x (stop - start) panel."""
+def _panel(
+    images: list[ImageVector], start: int, stop: int, buf: np.ndarray, raw=False
+) -> np.ndarray:
+    """Columns start:stop of the images' intensities, or of their raw
+    pixels if raw, written into the front of buf as a C-contiguous
+    n x (stop - start) panel."""
     panel = buf.reshape(-1)[: len(images) * (stop - start)].reshape(len(images), -1)
     for img, row in zip(images, panel):
-        img.normalized(start, stop, out=row)
+        if raw:
+            row[:] = img.values[start:stop]
+        else:
+            img.normalized(start, stop, out=row)
     return panel
 
 
 def _mean_and_gram(images: list[ImageVector], buf: np.ndarray):
-    """The images' mean, the n x n Gram matrix of the centered images and
-    their raw pixel energy, in panels of buf's width.
-
-    Each panel is a run of whole Gram chunks; it is centered in place and
-    each chunk's product added to the Gram in order.
+    """The images' mean and the n x n Gram matrix of the centered images,
+    from the raw pixels in panels of buf's width.  Raises
+    ZeroVarianceError when every image is identical.
     """
     n, width = buf.shape
     d = images[0].width * images[0].height
-    mean = np.empty(d)
+    mean = np.empty(d)  # the column sums, until they are divided
     gram, product = np.zeros((n, n)), np.empty((n, n))
-    raw_energy = 0.0
-    panels = [[0]]
-    for stop in gram_stops(d):
-        if stop - panels[-1][0] > width:
-            panels.append([panels[-1][-1]])
-        panels[-1].append(stop)
-    for cuts in panels:
-        start, stop = cuts[0], cuts[-1]
-        panel = _panel(images, start, stop, buf)
-        # Identical images leave only mean-rounding residue after
-        # centering; the fit compares the centered energy against this.
-        raw_energy += float(np.vdot(panel, panel))
-        panel.mean(axis=0, out=mean[start:stop])
-        panel -= mean[start:stop]
-        for a, b in zip(cuts, cuts[1:]):
-            chunk = panel[:, a - start : b - start]
-            np.matmul(chunk, chunk.T, out=product)
-            gram += product
-    return mean, gram, raw_energy
+    for start in range(0, d, width):
+        stop = min(start + width, d)
+        panel = _panel(images, start, stop, buf, raw=True)
+        np.matmul(panel, panel.T, out=product)
+        gram += product
+        panel.sum(axis=0, out=mean[start:stop])
+    mean /= 255 * n
+    # n**2 * 255**2 times the centered Gram, an integer, in place of the
+    # product; it converts to float64 exactly below 2**53, where the one
+    # division is then correctly rounded.
+    numerator = product.view(np.int64)
+    numerator[:] = gram
+    rows = numerator.sum(axis=1)
+    total = rows.sum()
+    numerator *= n * n
+    rows *= n
+    numerator -= rows[:, None]
+    numerator -= rows
+    numerator += total
+    if not np.count_nonzero(numerator):
+        raise ZeroVarianceError("training images are all identical")
+    np.divide(numerator, n * n * 255**2, out=gram)
+    return mean, gram
 
 
 def centered(model: EigenModel, image: ImageVector) -> np.ndarray:

@@ -41,10 +41,11 @@ def make_dataset(
         for vi in range(variants):
             rng = np.random.default_rng(((seed + 1) * 1000 + si) * 1000 + vi)
             values = np.clip(base + rng.normal(0.0, 0.06, size=base.size), 0.0, 1.0)
+            pixels = np.clip(np.rint(values * 255.0), 0, 255).astype(np.uint8)
             name = f"s{si + 1:02d}_v{vi + 1}"
             img_path = root / "images" / f"{name}.pgm"
             dataset_io.save_image(
-                ImageVector(width=width, height=height, values=values), img_path
+                ImageVector(width=width, height=height, values=pixels), img_path
             )
             for scheme in schemes:
                 pts = _landmark_cloud(si, vi, scheme, seed)

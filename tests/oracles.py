@@ -12,11 +12,15 @@ fitted model's coordinates.  The scalar formula chain is kept here as a
 reference for the arithmetic `delaunay` and `recognize` run inline:
 `triangle_area` (Heron), `relative_areas` and `average_relative_area`
 (RA_avg), `dt_difference` (D) and `fused_score` (RV = ED + D / dt_divisor).
-`one_product_eigenvectors` repeats the fit's snapshot arithmetic with the
-lift to pixel space taken as one product, the bytes the fit's blocked lift
-must give.
-Images enter the eigenspace oracles through `ImageVector.normalized()`, the
-package's one definition of a pixel's intensity.
+`exact_mean_and_gram` gives the mean and the centered Gram of a set of
+uint8 images from the whole image matrix in exact integer arithmetic, each
+entry rounded once to float, the bytes the fit's streamed first pass must
+give.  `one_product_eigenvectors` repeats the fit's snapshot arithmetic on
+them with the lift to pixel space taken as one product, the bytes the
+fit's blocked lift must give.
+Images enter the other eigenspace oracles through
+`ImageVector.normalized()`, the package's one definition of a pixel's
+intensity.
 """
 
 import itertools
@@ -251,13 +255,37 @@ def covariance_eigenspace(images, k=None):
     return mean, lam[:kept], vecs[:, :kept].T
 
 
+def exact_mean_and_gram(images):
+    """The mean intensity of uint8 images and the n x n Gram matrix of
+    their centered intensities, each entry the exact rational rounded once
+    to float.
+
+    With c the pixel columns' sums, 255 * n * (x / 255 - mean) is the
+    integer n * x - c, so 255**2 * n**2 times the Gram is the integer
+    product of those rows, taken in int64 (exact while it stays below
+    2**63, which the fit checks) and never in floating point.
+    """
+    rows = np.vstack([img.values for img in images]).astype(np.int64)
+    n = len(rows)
+    sums = rows.sum(axis=0)
+    scaled = n * rows - sums
+    numerators = scaled @ scaled.T
+    mean = np.array([float(Fraction(int(c), 255 * n)) for c in sums])
+    gram = np.array(
+        [[float(Fraction(int(v), (255 * n) ** 2)) for v in row] for row in numerators]
+    )
+    return mean, gram
+
+
 def one_product_eigenvectors(images, kept):
-    """The fit's eigenvectors with the lift taken as one product over all d
-    columns, `vecs[:, :kept].T @ centered`, then scaled by 1 / sigma,
-    normalized row by row and sign-canonicalized as the fit does: the
-    byte-for-byte reference for the fit's column-blocked lift."""
-    centered = center_images(images, mean_image(images))
-    lam, vecs = np.linalg.eigh(centered @ centered.T)
+    """The fit's eigenvectors from the exact mean and Gram, with the lift
+    taken as one product over all d columns, `vecs[:, :kept].T @
+    (normalized - mean)`, then scaled by 1 / sigma, normalized row by row
+    and sign-canonicalized as the fit does: the byte-for-byte reference for
+    the fit's column-blocked lift."""
+    mean, gram = exact_mean_and_gram(images)
+    centered = np.vstack([img.normalized() for img in images]) - mean
+    lam, vecs = np.linalg.eigh(gram)
     order = np.argsort(lam)[::-1]
     lam, vecs = lam[order], vecs[:, order]
     eigvecs = vecs[:, :kept].T @ centered

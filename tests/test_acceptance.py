@@ -52,7 +52,10 @@ def random_suite():
 def pca_datasets():
     """20 synthetic datasets of 10 images x 16 pixels."""
     rng = np.random.default_rng(271828)
-    return [[ImageVector(16, 1, rng.uniform(size=16)) for _ in range(10)] for _ in range(20)]
+    return [
+        [ImageVector(16, 1, rng.integers(0, 256, size=16, dtype=np.uint8)) for _ in range(10)]
+        for _ in range(20)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +178,9 @@ def test_c05_pca_oracle_equivalence(pca_datasets):
         worst_ortho = max(worst_ortho, float(np.abs(gram - np.eye(model.k)).max()))
         for img, c in zip(imgs, coords_m):
             back = oracles.reconstruct(model, c)
-            worst_recon = max(worst_recon, float(np.sqrt(np.mean((back - img.values) ** 2))))
+            worst_recon = max(
+                worst_recon, float(np.sqrt(np.mean((back - img.normalized()) ** 2)))
+            )
     check(
         "C5 pca oracle equivalence",
         worst_dist <= 1e-6 and worst_ortho <= 1e-8 and worst_recon <= 1e-6,
@@ -195,7 +200,8 @@ def test_c06_monotone_reconstruction(pca_datasets):
                 float(
                     np.mean(
                         [
-                            (oracles.reconstruct(m, eigenface.project(m, i)) - i.values) ** 2
+                            (oracles.reconstruct(m, eigenface.project(m, i)) - i.normalized())
+                            ** 2
                             for i in imgs
                         ]
                     )
@@ -259,8 +265,8 @@ def test_c07_self_match(table_dataset, tmp_path):
 
 
 def test_c08_fusion_audit_fixture():
-    def one_pixel(v):
-        return ImageVector(width=1, height=1, values=np.array([v]))
+    def one_pixel(level):
+        return ImageVector(width=1, height=1, values=np.array([level], dtype=np.uint8))
 
     def fan(h):
         return np.array([(0.0, 0.0), (4.0, 0.0), (2.0, 3.0), (2.0, h)])
@@ -270,20 +276,20 @@ def test_c08_fusion_audit_fixture():
         amax = max(areas)
         return sum(a / amax for a in areas) / 3
 
-    model = eigenface.fit_eigenmodel([one_pixel(0.0), one_pixel(1.0)], k=1)
+    model = eigenface.fit_eigenmodel([one_pixel(0), one_pixel(255)], k=1)
     gallery = recognizer.build_gallery(
         model,
         [
-            recognizer.TrainingRecord(one_pixel(1.0), fan(0.9), "A", "v", ""),
-            recognizer.TrainingRecord(one_pixel(0.0), fan(0.3), "B", "v", ""),
+            recognizer.TrainingRecord(one_pixel(255), fan(0.9), "A", "v", ""),
+            recognizer.TrainingRecord(one_pixel(0), fan(0.3), "B", "v", ""),
         ],
     )
-    test_image = one_pixel(0.75)
+    test_image = one_pixel(191)
 
     # Independent scalar recomputation: with a k=1 unit eigenvector the
     # eigenspace distance equals the pixel difference, and the fan's
     # average relative area follows from shoelace areas (2h, 3-h, 3-h).
-    ed = [abs(0.75 - 1.0), abs(0.75 - 0.0)]
+    ed = [abs(191 / 255 - 1.0), abs(191 / 255 - 0.0)]
     d = [abs(fan_ra_avg(0.3) - fan_ra_avg(0.9)), 0.0]
     rv = [e + dd / 0.001 for e, dd in zip(ed, d)]
 

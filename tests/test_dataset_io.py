@@ -17,7 +17,6 @@ from dtpca.dataset_io import (
     save_manifest,
     split_dataset,
 )
-from dtpca.eigenface import fit_eigenmodel
 
 
 # --- load_image --------------------------------------------------------------
@@ -165,25 +164,8 @@ def test_pgm_byte_round_trip(tmp_path_factory, pixels):
     path.write_bytes(header + bytes(pixels))
     img = load_image(path)
     out = tmp / "out.pgm"
-    # The raw pixels, and their intensities rounded back from floats.
-    for saved in (img, ImageVector(img.width, img.height, img.normalized())):
-        save_image(saved, out)
-        assert out.read_bytes() == path.read_bytes()
-
-
-@given(
-    values=st.lists(
-        st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=64
-    )
-)
-def test_image_save_reload_within_half_quantum(tmp_path_factory, values):
-    # Arbitrary [0,1] intensities survive export within 1/510 per pixel.
-    tmp = tmp_path_factory.mktemp("rt2")
-    img = ImageVector(width=len(values), height=1, values=np.array(values))
-    path = tmp / "img.pgm"
-    save_image(img, path)
-    back = load_image(path)
-    assert np.all(np.abs(back.normalized() - img.values) <= 1 / 510 + 1e-15)
+    save_image(img, out)
+    assert out.read_bytes() == path.read_bytes()
 
 
 def test_image_vector_length_checked():
@@ -192,44 +174,30 @@ def test_image_vector_length_checked():
 
 
 @pytest.mark.parametrize(
-    "values", [np.zeros((2, 2)), np.zeros(2, dtype=np.int64)], ids=["2-D", "int64"]
+    "values",
+    [np.zeros((2, 2), dtype=np.uint8), np.zeros(2, dtype=np.int64),
+     np.zeros(2), np.zeros(2, dtype=np.float32), np.zeros(2, dtype=np.float16)],
+    ids=["2-D", "int64", "float64", "float32", "float16"],
 )
 def test_image_vector_rejects_other_representations(values):
-    # Both have len 2 == 2x1, so a length check alone would let them through.
-    with pytest.raises(ValueError, match="1-D array of dtype uint8 or float"):
+    # All have len 2 == 2x1, so a length check alone would let them through;
+    # the exact Gram needs integer pixels, so float intensities are refused.
+    with pytest.raises(ValueError, match="1-D array of dtype uint8"):
         ImageVector(width=2, height=1, values=values)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_image_vector_rejects_non_finite_values(bad, dtype):
-    with pytest.raises(ValueError, match="non-finite pixel value"):
+    # No non-finite value can enter an image: no float array does.
+    with pytest.raises(ValueError, match="1-D array of dtype uint8"):
         ImageVector(width=2, height=1, values=np.array([0.5, bad], dtype=dtype))
 
 
-def test_image_vector_takes_every_uint8_value_and_finite_float_extremes():
-    ImageVector(width=256, height=1, values=np.arange(256, dtype=np.uint8))
-    info = np.finfo(np.float64)
-    ImageVector(width=4, height=1, values=np.array([info.max, -info.max, info.tiny, 0.0]))
-
-
-def test_image_vector_float_values_are_a_read_only_copy():
-    # Two 3-pixel images once fitted a k == 0 model after a NaN was written
-    # into one of them after construction.
-    arrays = [np.array([0.1, 0.5, 0.9]), np.array([0.9, 0.5, 0.1])]
-    images = [ImageVector(width=3, height=1, values=a) for a in arrays]
-    with pytest.raises(ValueError, match="read-only"):
-        images[0].values[1] = np.nan
-    arrays[0][1] = np.nan  # the caller's own array stays writable
-    assert images[0].values.tolist() == [0.1, 0.5, 0.9]
-    model = fit_eigenmodel(images, k=1)
-    assert model.k == 1 and model.eigenvectors.shape == (1, 3)
-    assert np.isfinite(model.eigenvectors).all()
-
-
 def test_image_vector_keeps_uint8_values_as_given():
-    raw = np.arange(4, dtype=np.uint8)
-    assert ImageVector(width=2, height=2, values=raw).values is raw
+    # Every pixel value, in the caller's own array.
+    raw = np.arange(256, dtype=np.uint8)
+    assert ImageVector(width=16, height=16, values=raw).values is raw
 
 
 @pytest.mark.parametrize("magic", ["P5", "P2"])
@@ -255,19 +223,6 @@ def test_normalized_divides_every_pixel_value_by_255():
     assert np.array_equal(out, expected)
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_normalized_copies_float_values(dtype):
-    values = np.array([0.0, 0.25, 1.0, 0.1], dtype=dtype)
-    img = ImageVector(width=2, height=2, values=values.copy())
-    x = img.normalized()
-    assert x.dtype == np.float64 and np.array_equal(x, values.astype(np.float64))
-    x += 1.0
-    assert np.array_equal(img.values, values)
-    out = np.empty(4)
-    assert img.normalized(out=out) is out
-    assert np.array_equal(out, values.astype(np.float64))
-
-
 @pytest.mark.parametrize("field", ["99999999999999999999", "-99999999999999999999"])
 def test_load_image_p2_pixel_beyond_int64_is_out_of_range(tmp_path, field):
     path = tmp_path / "big.pgm"
@@ -278,15 +233,17 @@ def test_load_image_p2_pixel_beyond_int64_is_out_of_range(tmp_path, field):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_save_image_rejects_non_finite_values(tmp_path, bad):
+    # The float array is refused as an image, so nothing reaches the file.
     path = tmp_path / "bad.pgm"
-    with pytest.raises(ValueError, match="non-finite pixel value"):
+    with pytest.raises(ValueError, match="1-D array of dtype uint8"):
         save_image(ImageVector(width=2, height=1, values=np.array([0.5, bad])), path)
     assert not path.exists()
 
 
 def test_synthetic_images_are_pinned_bytes(synth_dataset):
-    # The generator writes float intensities through save_image; any change
-    # to its rounding, clipping or header changes this digest.
+    # The generator rounds its float intensities to pixels and writes them
+    # through save_image; any change to its rounding, clipping or header
+    # changes this digest.
     digest = hashlib.sha256()
     paths = sorted((synth_dataset["root"] / "images").glob("*.pgm"))
     for path in paths:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -11,16 +12,16 @@ from hypothesis import given, strategies as st
 
 import dtpca
 import oracles
-from dtpca import synthetic
+from dtpca import cli, synthetic
 from dtpca.dataset_io import ImageVector, load_image, load_manifest
 from dtpca.eigenface import (
     EigenModel,
     ImageSizeError,
     ZeroVarianceError,
     _lift_stops,
+    _mean_and_gram,
     centered,
     fit_eigenmodel,
-    gram_stops,
     project,
 )
 from dtpca.recognizer import (
@@ -30,20 +31,21 @@ from dtpca.recognizer import (
     load_gallery,
     save_gallery,
 )
-from test_recognizer import edit_gallery, fan_landmarks
+from test_recognizer import edit_gallery, fan_landmarks, gallery_records
 
 
-def image(values, width=None, height=1):
-    """A width x height ImageVector; a row of len(values) pixels by default."""
-    return ImageVector(width or len(values), height, np.asarray(values))
+def image(pixels, width=None, height=1):
+    """A width x height ImageVector of uint8 pixels; a row of len(pixels)
+    pixels by default."""
+    return ImageVector(width or len(pixels), height, np.asarray(pixels, dtype=np.uint8))
 
 
 def random_images(seed, n, d):
     rng = np.random.default_rng(seed)
-    return [image(rng.uniform(size=d)) for _ in range(n)]
+    return [image(rng.integers(0, 256, size=d, dtype=np.uint8)) for _ in range(n)]
 
 
-TOY_IMAGES = [image([0.0, 0.0]), image([1.0, 0.0]), image([0.0, 1.0])]
+TOY_IMAGES = [image([0, 0]), image([255, 0]), image([0, 255])]
 
 
 def toy_model(k=2):
@@ -115,14 +117,61 @@ def test_toy_model_eigenvalues_and_vectors():
 
 def test_toy_model_projection_of_origin():
     m = toy_model()
-    coords = project(m, image([0.0, 0.0]))
+    coords = project(m, image([0, 0]))
     assert coords[0] == pytest.approx(0.0, abs=1e-12)
     assert coords[1] == pytest.approx(-math.sqrt(2) / 3, abs=1e-12)
 
 
 def test_zero_variance_identical_images():
     with pytest.raises(ZeroVarianceError):
-        fit_eigenmodel([image(np.full(4, 0.1)) for _ in range(5)], k=3)
+        fit_eigenmodel([image(np.full(4, 26)) for _ in range(5)], k=3)
+
+
+@pytest.mark.parametrize("width,height", [(1, 1), (80, 60), (320, 243)])
+def test_zero_variance_is_exact_at_every_size(width, height):
+    # Identical images give a centered Gram of exactly zero, whatever the
+    # pixel count, so no tolerance decides it.
+    pixels = np.random.default_rng(width).integers(0, 256, size=width * height, dtype=np.uint8)
+    with pytest.raises(ZeroVarianceError):
+        fit_eigenmodel([image(pixels, width, height) for _ in range(3)], k=2)
+
+
+def test_one_level_in_one_pixel_is_one_component():
+    # The two images' centered rows are -+1/510 in one pixel, so the one
+    # scatter eigenvalue is 2 / 510**2 = 1 / (2 * 255**2), over n - 1 = 1.
+    pixels = np.random.default_rng(52).integers(0, 255, size=80 * 60, dtype=np.uint8)
+    brighter = pixels.copy()
+    brighter[1234] += 1
+    m = fit_eigenmodel([image(pixels, 80, 60), image(brighter, 80, 60)], k=5)
+    assert m.k == 1
+    assert m.eigenvalues[0] == pytest.approx(1 / (2 * 255**2), rel=1e-12)
+
+
+def zero_stride_images(n, d):
+    """n images of d zero pixels that share one byte, so that none of them
+    allocates its d pixels."""
+    return [ImageVector(d, 1, np.broadcast_to(np.uint8(0), (d,)))] * n
+
+
+@pytest.mark.parametrize(
+    "n,d",
+    [(2, -(-2**53 // 255**2)), (5816, 2**20)],
+    ids=["d-bound", "n-bound"],
+)
+def test_fit_refuses_a_shape_whose_gram_sums_are_not_exact(n, d):
+    # d * 255**2 reaches 2**53 in the first, and 4 * n**2 * d * 255**2
+    # reaches 2**63 in the second; the bound is checked before the fit's
+    # buffer is allocated, so neither allocates its pixels or a panel.
+    assert d * 255**2 >= 2**53 or 4 * n**2 * d * 255**2 >= 2**63
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"below 2\*\*53 and .* below 2\*\*63"):
+            fit_eigenmodel(zero_stride_images(n, d), k=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
 
 
 def test_fit_requires_two_images():
@@ -194,11 +243,12 @@ def test_fit_peak_memory_below_two_image_matrices():
 
 
 def test_fit_peak_memory_below_two_image_matrices_from_uint8():
-    # Raw pixels are divided straight into the fit's panel, so uint8 images
-    # cost the fit no float copy of their own.
+    # Pixels go straight into the fit's panel, so images that are read-only
+    # views of one file's bytes, as load_image gives, cost the fit no float
+    # copy of their own.
     n, d = 40, 64 * 48
-    rng = np.random.default_rng(40)
-    imgs = [image(rng.integers(0, 256, size=d, dtype=np.uint8)) for _ in range(n)]
+    data = np.random.default_rng(40).bytes(n * d)
+    imgs = [image(np.frombuffer(data, np.uint8, d, i * d)) for i in range(n)]
     tracemalloc.start()
     try:
         fit_eigenmodel(imgs, k=10)
@@ -317,60 +367,46 @@ def test_lift_block_widths(n, d, kept, widths):
     assert [b - a for a, b in zip([0, *stops], stops)] == widths
 
 
-@pytest.mark.parametrize(
-    "d,widths",
-    [
-        (7, [7]),
-        (384, [384]),
-        (767, [384, 383]),
-        (768, [384, 384]),
-        (1920, [384] * 5),
-        (1921, [384] * 4 + [193, 192]),
-        (2303, [384] * 4 + [384, 383]),
-        (1652, [384] * 3 + [250, 250]),
-        (1653, [384] * 3 + [251, 250]),
-    ],
-)
-def test_gram_chunk_widths(d, widths):
-    stops = gram_stops(d)
-    assert [b - a for a, b in zip([0, *stops], stops)] == widths
+@pytest.mark.parametrize("width", [1, 7, 384, 2048, None], ids=lambda w: str(w or "d"))
+def test_mean_and_gram_are_the_exact_oracle_bytes(width):
+    # The first pass sums the raw pixels in panels of any width, None being
+    # all 4,153 columns, and gives the exact mean and Gram rounded once.
+    # Images of all-0 and all-255 pixels give the largest sums.
+    n, d = 20, 4153
+    imgs = random_images(53, n - 2, d) + [image(np.zeros(d)), image(np.full(d, 255))]
+    mean, gram = _mean_and_gram(imgs, np.empty((n, width or d)))
+    exact_mean, exact_gram = oracles.exact_mean_and_gram(imgs)
+    assert mean.tobytes() == exact_mean.tobytes()
+    assert gram.tobytes() == exact_gram.tobytes()
 
 
-# d = 0, 1 and 383 mod 384, and 385-767 columns left, odd and even, with
-# the paper's 320 x 243 and widths the lift tests use.
-GRAM_WIDTHS = (1920, 1921, 2303, 1652, 1653, 8193, 20000, 77760)
+# OpenBLAS picks its kernel by the CPU unless OPENBLAS_CORETYPE names one;
+# a kernel needs its instruction set, and one the CPU lacks would fault.
+BLAS_KERNEL_FLAGS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Zen": "avx2", "SandyBridge": "avx"}
 
 
-def gram_chunk_mismatches(widths=GRAM_WIDTHS, n=45):
-    """The widths at which the Gram summed over gram_stops's chunks, as the
-    fit sums it, differs from one product of all columns."""
-    mismatches = []
-    for d in widths:
-        rows = np.random.default_rng(d).uniform(size=(n, d))
-        centered = rows - rows.mean(axis=0)
-        gram, product = np.zeros((n, n)), np.empty((n, n))
-        stops = gram_stops(d)
-        for start, stop in zip([0, *stops], stops):
-            chunk = centered[:, start:stop]
-            np.matmul(chunk, chunk.T, out=product)
-            gram += product
-        if gram.tobytes() != (centered @ centered.T).tobytes():
-            mismatches.append(d)
-    return mismatches
+def runnable_blas_kernels():
+    """The OpenBLAS kernels that the CPU's /proc/cpuinfo flags allow, or
+    [None], the kernel OpenBLAS picks itself, where the flags are unknown."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            flags = set(re.search(r"^flags\s*:(.*)$", fh.read(), re.M).group(1).split())
+    except (OSError, AttributeError):
+        flags = set()
+    return [kernel for kernel, flag in BLAS_KERNEL_FLAGS.items() if flag in flags] or [None]
 
 
-def test_chunked_gram_gives_the_one_product_bytes():
-    assert gram_chunk_mismatches() == []
-
-
-def mismatches_at_blas_threads(threads, name):
+def mismatches_at_blas_threads(threads, name, kernel=None):
     """What test_eigenface.<name>() prints in a fresh interpreter whose BLAS
-    runs `threads` threads.  The thread count is read when OpenBLAS loads,
-    so each count needs its own interpreter."""
+    runs `threads` threads on the OpenBLAS kernel named, or the one OpenBLAS
+    picks for None.  Both are read when OpenBLAS loads, so each needs its
+    own interpreter."""
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(dtpca.__file__))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")]))}
+    if kernel:
+        env["OPENBLAS_CORETYPE"] = kernel
     proc = subprocess.run(
         [sys.executable, "-c", f"import test_eigenface; print(test_eigenface.{name}())"],
         env=env, capture_output=True, text=True, timeout=120,
@@ -379,9 +415,48 @@ def mismatches_at_blas_threads(threads, name):
     return proc.stdout.strip()
 
 
+def mismatches_per_blas_kernel(threads, name):
+    """{kernel: what <name>() prints} at `threads` BLAS threads, on every
+    OpenBLAS kernel the CPU can run."""
+    return {kernel: mismatches_at_blas_threads(threads, name, kernel)
+            for kernel in runnable_blas_kernels()}
+
+
+def mean_and_gram_digests():
+    """The sha256 of the first pass's mean and Gram bytes at gallery_scan's
+    fit, the paper's 135 images of 320 x 243 and 45 images of 20,000."""
+    digests = []
+    for n, d in ((450, 4800), (135, 77760), (45, 20000)):
+        imgs = random_images(n * 100_000 + d, n, d)
+        mean, gram = _mean_and_gram(imgs, np.empty((n, 2048)))
+        digests.append(hashlib.sha256(mean.tobytes() + gram.tobytes()).hexdigest()[:16])
+    return digests
+
+
+def test_mean_and_gram_bytes_are_the_same_on_every_blas_kernel_and_thread_count():
+    runs = {threads: mismatches_per_blas_kernel(threads, "mean_and_gram_digests")
+            for threads in ("1", "2")}
+    assert len({digests for run in runs.values() for digests in run.values()}) == 1, runs
+
+
+def gram_chunk_mismatches():
+    """The (n, d) shapes of gallery_scan's fit, and of the paper's 320 x 243
+    images, at which the first pass in 2,048-column panels gives other mean
+    or Gram bytes than one panel of all d columns."""
+    mismatches = []
+    for n, d in ((450, 4800), (45, 77760)):
+        imgs = random_images(n * 100_000 + d, n, d)
+        chunked = _mean_and_gram(imgs, np.empty((n, 2048)))
+        whole = _mean_and_gram(imgs, np.empty((n, d)))
+        if any(a.tobytes() != b.tobytes() for a, b in zip(chunked, whole)):
+            mismatches.append((n, d))
+    return mismatches
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_chunked_gram_gives_the_one_product_bytes_per_blas_thread_count(threads):
-    assert mismatches_at_blas_threads(threads, "gram_chunk_mismatches") == "[]"
+    runs = mismatches_per_blas_kernel(threads, "gram_chunk_mismatches")
+    assert runs == dict.fromkeys(runs, "[]")
 
 
 # (n, d, k): gallery_scan's fit, whose 704-column remainder is a lift block
@@ -404,7 +479,8 @@ def lift_mismatches(shapes=LIFT_SHAPES):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_lift_gives_the_one_product_bytes_per_blas_thread_count(threads):
-    assert mismatches_at_blas_threads(threads, "lift_mismatches") == "[]"
+    runs = mismatches_per_blas_kernel(threads, "lift_mismatches")
+    assert runs == dict.fromkeys(runs, "[]")
 
 
 def regrown_lift_mismatches():
@@ -430,7 +506,8 @@ def regrown_lift_mismatches():
 def test_regrown_lift_gives_the_one_product_bytes_per_blas_thread_count(threads):
     n, d = 40, 128 * 96
     assert _lift_stops(n, d, 30)[0] == 2048 and _lift_stops(n, d, 4) == [d]
-    assert mismatches_at_blas_threads(threads, "regrown_lift_mismatches") == "[]"
+    runs = mismatches_per_blas_kernel(threads, "regrown_lift_mismatches")
+    assert runs == dict.fromkeys(runs, "[]")
 
 
 def dot_projection_mismatches():
@@ -443,7 +520,7 @@ def dot_projection_mismatches():
         for width, height in ((3, 1), (10, 8), (80, 60), (320, 243), (400, 250)):
             d = width * height
             mean, vecs = rng.uniform(0, 1, d), rng.standard_normal((k, d))
-            img = ImageVector(width, height, rng.uniform(0, 1, d))
+            img = image(rng.integers(0, 256, size=d, dtype=np.uint8), width, height)
             for view in (False, True):
                 if view:
                     mean = np.frombuffer(mean.tobytes(), "<f8")
@@ -456,7 +533,8 @@ def dot_projection_mismatches():
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_dot_projection_gives_the_matmul_bytes_per_blas_thread_count(threads):
-    assert mismatches_at_blas_threads(threads, "dot_projection_mismatches") == "[]"
+    runs = mismatches_per_blas_kernel(threads, "dot_projection_mismatches")
+    assert runs == dict.fromkeys(runs, "[]")
 
 
 @pytest.mark.parametrize("d", [4095, 4996, 5096, 8191, 8192, 8193, 12345, 20000])
@@ -478,60 +556,46 @@ def test_blocked_lift_gives_the_one_product_bytes(n, d):
         assert m.eigenvectors.flags.c_contiguous and m.eigenvectors.flags.owndata
 
 
-def test_train_gallery_of_a_three_block_lift_is_pinned(tmp_path):
+def test_train_gallery_of_a_three_block_lift_is_pinned(tmp_path, monkeypatch):
     # 15 subjects x 3 variants at 128x96 give d = 12,288, which the lift
-    # takes in three blocks; these are the bytes of the one-product lift.
-    # The digest is of one BLAS thread's output, as the benchmark runs, and
-    # the gallery names its images relative to the working directory.
-    synthetic.make_dataset(
+    # takes in three blocks.  The digest pins what no BLAS kernel changes:
+    # the header, which names the images relative to the working
+    # directory, the exact mean and ra_avg.  eigh rounds per kernel, so the
+    # eigenvectors are checked against the one-product lift and the coords
+    # against per-image projections, in the process that trained.
+    manifest = synthetic.make_dataset(
         tmp_path, subjects=15, variants=3, width=128, height=96, schemes=(68,), seed=0
+    )[68]
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["train", "--manifest", "manifest_68.csv", "--k", "25",
+                     "--out", "gallery.bin"]) == 0
+    header_line = (tmp_path / "gallery.bin").read_bytes().split(b"\n", 1)[0]
+    _, arrays = gallery_records(tmp_path / "gallery.bin")
+    digest = hashlib.sha256(header_line + arrays["mean"].tobytes() + arrays["ra_avg"].tobytes())
+    assert digest.hexdigest() == (
+        "89fa814a51f46b3019ab5c3b80346421c9b13e29a35ce302ee26944eb9242949"
     )
-    src = os.path.dirname(os.path.dirname(dtpca.__file__))
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "dtpca.cli", "train", "--manifest", "manifest_68.csv",
-         "--k", "25", "--out", "gallery.bin"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256((tmp_path / "gallery.bin").read_bytes()).hexdigest() == (
-        "6bf291cd2614ee2383aad69463006133fbc8b6e0adf22041607cf60a01e54dec"
-    )
+    imgs = [load_image(e.image_path) for e in load_manifest(manifest).entries]
+    assert arrays["eigenvectors"].tobytes() == oracles.one_product_eigenvectors(imgs, 25).tobytes()
+    _, model = load_gallery(tmp_path / "gallery.bin")
+    assert arrays["coords"].tobytes() == np.array([project(model, img) for img in imgs]).tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_image_fails_before_fit_or_project(bad):
     # A NaN pixel used to fail in the fit's eigensolver, and an inf one
-    # projected to infinite coordinates without an error.  save_image is
-    # covered by test_save_image_rejects_non_finite_values.
-    values = np.array([0.5, bad, 0.25])
-    with pytest.raises(ValueError, match="non-finite pixel value"):
-        fit_eigenmodel([image([0.0, 0.0, 1.0]), image(values)], k=1)
-    with pytest.raises(ValueError, match="non-finite pixel value"):
-        project(fit_eigenmodel(random_images(46, 4, 3), k=2), image(values))
+    # projected to infinite coordinates without an error.  Pixels are uint8,
+    # so no float array, finite or not, becomes an image.
+    with pytest.raises(ValueError, match="dtype uint8"):
+        ImageVector(3, 1, np.array([0.5, bad, 0.25]))
 
 
-def uint8_images_and_float_twins(seed, n, d):
-    rng = np.random.default_rng(seed)
-    raws = [rng.integers(0, 256, size=d, dtype=np.uint8) for _ in range(n)]
-    return [image(r) for r in raws], [image(r.astype(float) / 255.0) for r in raws]
-
-
-def test_uint8_images_fit_and_project_like_their_float_twins_bit_for_bit():
-    raw_imgs, float_imgs = uint8_images_and_float_twins(43, 9, 30)
-    m_raw, m_float = fit_eigenmodel(raw_imgs, k=6), fit_eigenmodel(float_imgs, k=6)
-    assert m_raw.k == m_float.k == 6
-    for name in ("mean", "eigenvectors", "eigenvalues"):
-        assert np.array_equal(getattr(m_raw, name), getattr(m_float, name)), name
-    for raw, flt in zip(raw_imgs, float_imgs):
-        assert np.array_equal(project(m_raw, raw), project(m_float, flt))
-
-
-@pytest.mark.parametrize("raw", [True, False], ids=["uint8", "float"])
-def test_fit_and_project_leave_images_unmodified(raw):
-    raw_imgs, float_imgs = uint8_images_and_float_twins(44, 8, 12)
-    imgs = raw_imgs if raw else float_imgs
+@pytest.mark.parametrize("view", [False, True], ids=["uint8", "frombuffer"])
+def test_fit_and_project_leave_images_unmodified(view):
+    # frombuffer gives the read-only views load_image returns.
+    rng = np.random.default_rng(44)
+    raws = [rng.integers(0, 256, size=12, dtype=np.uint8) for _ in range(8)]
+    imgs = [image(np.frombuffer(r.tobytes(), np.uint8) if view else r) for r in raws]
     before = [img.values.copy() for img in imgs]
     m = fit_eigenmodel(imgs, k=5)
     for img in imgs:
@@ -542,19 +606,19 @@ def test_fit_and_project_leave_images_unmodified(raw):
 
 
 def test_fit_centers_like_the_oracle_bit_for_bit():
-    # Centering in place gives the bits of a separate `rows - mean`.
+    # The fit's mean and eigenvalues are those of the exact mean and Gram.
     imgs = random_images(42, 9, 30)
     m = fit_eigenmodel(imgs, k=8)
-    assert np.array_equal(m.mean, oracles.mean_image(imgs))
-    centered = oracles.center_images(imgs, m.mean)
-    lam = np.linalg.eigh(centered @ centered.T)[0][::-1]
+    mean, gram = oracles.exact_mean_and_gram(imgs)
+    assert np.array_equal(m.mean, mean)
+    lam = np.linalg.eigh(gram)[0][::-1]
     assert np.array_equal(m.eigenvalues, lam[: m.k] / 8)
 
 
 @pytest.mark.parametrize("as_matrix", [False, True])
 def test_fit_leaves_inputs_unmodified(as_matrix):
     rng = np.random.default_rng(41)
-    matrix = rng.uniform(size=(8, 12))
+    matrix = rng.integers(0, 256, size=(8, 12), dtype=np.uint8)
     # As a matrix, the images' values are row views of one buffer.
     rows = matrix.copy() if as_matrix else [row.copy() for row in matrix]
     images = [image(row) for row in rows]
@@ -565,8 +629,9 @@ def test_fit_leaves_inputs_unmodified(as_matrix):
 # --- projection / reconstruction -----------------------------------------------
 
 def test_project_mean_is_origin():
+    # The toy images' mean is 85 of 255 in both pixels.
     m = toy_model()
-    assert np.allclose(project(m, image(m.mean)), 0.0, atol=1e-12)
+    assert np.allclose(project(m, image([85, 85])), 0.0, atol=1e-12)
 
 
 def test_project_dim_mismatch():
@@ -576,7 +641,7 @@ def test_project_dim_mismatch():
 
 def test_project_rejects_transposed_image():
     # Same pixel count, other shape: a length check would let it through.
-    m = fit_eigenmodel([image(v, 3, 2) for v in np.eye(6)[:4]], k=2)
+    m = fit_eigenmodel([image(255 * v, 3, 2) for v in np.eye(6)[:4]], k=2)
     with pytest.raises(ImageSizeError, match="image is 2x3, expected 3x2"):
         project(m, image(np.zeros(6), 2, 3))
 
@@ -595,7 +660,7 @@ def test_full_rank_round_trip():
     m = toy_model()
     for img in TOY_IMAGES:
         back = oracles.reconstruct(m, project(m, img))
-        assert np.sqrt(np.mean((back - img.values) ** 2)) < 1e-6
+        assert np.sqrt(np.mean((back - img.normalized()) ** 2)) < 1e-6
 
 
 def test_k1_error_at_least_k2_error():
@@ -604,7 +669,7 @@ def test_k1_error_at_least_k2_error():
 
     def mse(m):
         return np.mean(
-            [(oracles.reconstruct(m, project(m, i)) - i.values) ** 2 for i in TOY_IMAGES]
+            [(oracles.reconstruct(m, project(m, i)) - i.normalized()) ** 2 for i in TOY_IMAGES]
         )
 
     assert mse(m1) >= mse(m2) - 1e-12
@@ -642,7 +707,7 @@ def test_eigen_distance_symmetric(a, data):
 def test_snapshot_matches_covariance_oracle():
     rng = np.random.default_rng(2718)
     for trial in range(5):
-        imgs = [image(rng.uniform(size=16)) for _ in range(10)]
+        imgs = [image(rng.integers(0, 256, size=16)) for _ in range(10)]
         model = fit_eigenmodel(imgs, k=25)
         mean_o, lam_o, vecs_o = oracles.covariance_eigenspace(imgs)
         assert model.k == len(lam_o)
@@ -662,7 +727,7 @@ def test_covariance_oracle_reads_loaded_pgms_as_intensities(synth_dataset):
     imgs = [load_image(e.image_path) for e in load_manifest(synth_dataset["manifest"]).entries]
     assert all(img.values.dtype == np.uint8 for img in imgs)
     model = fit_eigenmodel(imgs, k=25)
-    assert np.array_equal(model.mean, oracles.mean_image(imgs))
+    assert np.array_equal(model.mean, oracles.exact_mean_and_gram(imgs)[0])
     mean_o, lam_o, vecs_o = oracles.covariance_eigenspace(imgs)
     assert np.allclose(model.mean, mean_o, rtol=0, atol=1e-12)
     assert model.k == len(lam_o)
@@ -689,22 +754,21 @@ def test_monotone_reconstruction_error():
     for k in range(1, full.k + 1):
         m = fit_eigenmodel(imgs, k=k)
         errors.append(
-            np.mean([(oracles.reconstruct(m, project(m, i)) - i.values) ** 2 for i in imgs])
+            np.mean([(oracles.reconstruct(m, project(m, i)) - i.normalized()) ** 2 for i in imgs])
         )
     for earlier, later in zip(errors, errors[1:]):
         assert later <= earlier + 1e-12
 
 
 def test_sign_convention_equivalence():
-    # Fitting on images reflected through the mean builds the model from
-    # negated centered rows; pairwise eigenspace distances must not move.
+    # Fitting on the images' negatives builds the model from negated
+    # centered rows; pairwise eigenspace distances must not move.
     imgs = random_images(4, 6, 12)
-    mean = np.vstack([img.values for img in imgs]).mean(axis=0)
-    reflected = [image(2 * mean - img.values) for img in imgs]
+    negatives = [image(255 - img.values) for img in imgs]
     m1 = fit_eigenmodel(imgs, k=5)
-    m2 = fit_eigenmodel(reflected, k=5)
+    m2 = fit_eigenmodel(negatives, k=5)
     c1 = [project(m1, i) for i in imgs]
-    c2 = [project(m2, i) for i in imgs]
+    c2 = [project(m2, i) for i in negatives]
     for i in range(len(imgs)):
         for j in range(i + 1, len(imgs)):
             assert abs(

@@ -33,8 +33,9 @@ from dtpca.recognizer import (
 from oracles import dt_difference, fused_score
 
 
-def one_pixel(v):
-    return ImageVector(width=1, height=1, values=np.array([v]))
+def one_pixel(level):
+    """A 1x1 image of one pixel level; its intensity is level / 255."""
+    return ImageVector(width=1, height=1, values=np.array([level], dtype=np.uint8))
 
 
 def fan_landmarks(h):
@@ -57,17 +58,17 @@ def fan_ra_avg(h):
 def flip_fixture():
     """Two-entry gallery where the triangulation term flips the argmin.
 
-    Entry A is nearer in eigenspace (ED 0.25 vs 0.75) but entry B shares
+    Entry A is nearer in eigenspace (ED 64/255 vs 191/255) but entry B shares
     the test image's mesh descriptor exactly, so under dt_pca the D/0.001
     term moves the match from A to B.
     """
-    model = fit_eigenmodel([one_pixel(0.0), one_pixel(1.0)], k=1)
+    model = fit_eigenmodel([one_pixel(0), one_pixel(255)], k=1)
     records = [
-        TrainingRecord(one_pixel(1.0), fan_landmarks(0.9), "subjA", "v1", "a.pgm"),
-        TrainingRecord(one_pixel(0.0), fan_landmarks(0.3), "subjB", "v1", "b.pgm"),
+        TrainingRecord(one_pixel(255), fan_landmarks(0.9), "subjA", "v1", "a.pgm"),
+        TrainingRecord(one_pixel(0), fan_landmarks(0.3), "subjB", "v1", "b.pgm"),
     ]
     gallery = build_gallery(model, records)
-    test_image = one_pixel(0.75)
+    test_image = one_pixel(191)
     test_landmarks = fan_landmarks(0.3)
     return model, gallery, test_image, test_landmarks
 
@@ -123,13 +124,13 @@ def test_argmin_invariant_under_common_scaling(eds, data, scale):
 def test_build_gallery_single_entry(flip_fixture):
     model, *_ = flip_fixture
     g = build_gallery(
-        model, [TrainingRecord(one_pixel(1.0), fan_landmarks(0.5), "s", "v", "")]
+        model, [TrainingRecord(one_pixel(255), fan_landmarks(0.5), "s", "v", "")]
     )
     assert len(g.subjects) == 1
     assert g.scheme == 4
     assert g.ra_avg[0] == pytest.approx(fan_ra_avg(0.5), rel=1e-12)
     # Any test image matches the lone entry.
-    report = recognize(g, model, one_pixel(0.0), fan_landmarks(0.9), "dt_pca")
+    report = recognize(g, model, one_pixel(0), fan_landmarks(0.9), "dt_pca")
     assert report.best_index == 0 and report.best_subject == "s"
 
 
@@ -146,8 +147,8 @@ def test_build_gallery_mixed_schemes(flip_fixture):
         build_gallery(
             model,
             [
-                TrainingRecord(one_pixel(0.0), fan_landmarks(0.5), "a", "v", ""),
-                TrainingRecord(one_pixel(1.0), other, "b", "v", ""),
+                TrainingRecord(one_pixel(0), fan_landmarks(0.5), "a", "v", ""),
+                TrainingRecord(one_pixel(255), other, "b", "v", ""),
             ],
         )
 
@@ -158,8 +159,8 @@ def test_build_gallery_partial_landmarks_rejected(flip_fixture):
         build_gallery(
             model,
             [
-                TrainingRecord(one_pixel(0.0), fan_landmarks(0.5), "a", "v", ""),
-                TrainingRecord(one_pixel(1.0), None, "b", "v", ""),
+                TrainingRecord(one_pixel(0), fan_landmarks(0.5), "a", "v", ""),
+                TrainingRecord(one_pixel(255), None, "b", "v", ""),
             ],
         )
 
@@ -168,7 +169,7 @@ def test_build_gallery_partial_landmarks_rejected(flip_fixture):
 
 def test_self_match_is_exactly_zero(flip_fixture):
     model, gallery, _, _ = flip_fixture
-    report = recognize(gallery, model, one_pixel(1.0), fan_landmarks(0.9), "dt_pca")
+    report = recognize(gallery, model, one_pixel(255), fan_landmarks(0.9), "dt_pca")
     assert report.best_index == 0
     assert report.best_subject == "subjA"
     assert report.ed[0] == 0.0
@@ -188,7 +189,7 @@ def test_fusion_flips_argmin(flip_fixture):
     # distance is just the pixel difference, and the mesh descriptor of the
     # fan follows the analytic shoelace formula.
     model, gallery, test_image, test_landmarks = flip_fixture
-    ed_oracle = [abs(0.75 - 1.0), abs(0.75 - 0.0)]
+    ed_oracle = [abs(191 / 255 - 1.0), abs(191 / 255 - 0.0)]
     d_oracle = [
         abs(fan_ra_avg(0.3) - fan_ra_avg(0.9)),
         abs(fan_ra_avg(0.3) - fan_ra_avg(0.3)),
@@ -218,7 +219,7 @@ def test_vector_scores_equal_scalar_ops_bitwise(mode):
     width, height, n, k = 9, 7, 40, 25
 
     def image():
-        return ImageVector(width, height, rng.uniform(0, 1, width * height))
+        return ImageVector(width, height, rng.integers(0, 256, width * height, dtype=np.uint8))
 
     def landmarks():
         return rng.uniform(0, 100, (12, 2))
@@ -255,15 +256,15 @@ def test_vector_scores_equal_scalar_ops_bitwise(mode):
 
 @pytest.mark.parametrize("mode", ["pca_only", "dt_pca"])
 def test_duplicate_entries_tie_to_lowest_index(mode):
-    model = fit_eigenmodel([one_pixel(0.0), one_pixel(1.0)], k=1)
+    model = fit_eigenmodel([one_pixel(0), one_pixel(255)], k=1)
     records = [
-        TrainingRecord(one_pixel(0.0), fan_landmarks(0.9), "far", "v1", ""),
-        TrainingRecord(one_pixel(1.0), fan_landmarks(0.3), "first", "v1", ""),
-        TrainingRecord(one_pixel(0.0), fan_landmarks(0.9), "far", "v2", ""),
-        TrainingRecord(one_pixel(1.0), fan_landmarks(0.3), "second", "v1", ""),
+        TrainingRecord(one_pixel(0), fan_landmarks(0.9), "far", "v1", ""),
+        TrainingRecord(one_pixel(255), fan_landmarks(0.3), "first", "v1", ""),
+        TrainingRecord(one_pixel(0), fan_landmarks(0.9), "far", "v2", ""),
+        TrainingRecord(one_pixel(255), fan_landmarks(0.3), "second", "v1", ""),
     ]
     gallery = build_gallery(model, records)
-    report = recognize(gallery, model, one_pixel(0.9), fan_landmarks(0.3), mode)
+    report = recognize(gallery, model, one_pixel(230), fan_landmarks(0.3), mode)
     assert report.rv[1] == report.rv[3] == report.rv.min()
     assert report.best_index == 1
     assert report.best_subject == "first"
@@ -320,14 +321,14 @@ def test_landmarkless_gallery_pca_only(flip_fixture):
     g = build_gallery(
         model,
         [
-            TrainingRecord(one_pixel(0.0), None, "a", "v", ""),
-            TrainingRecord(one_pixel(1.0), None, "b", "v", ""),
+            TrainingRecord(one_pixel(0), None, "a", "v", ""),
+            TrainingRecord(one_pixel(255), None, "b", "v", ""),
         ],
     )
-    report = recognize(g, model, one_pixel(0.1), None, "pca_only")
+    report = recognize(g, model, one_pixel(26), None, "pca_only")
     assert report.best_subject == "a"
     with pytest.raises(ValueError):
-        recognize(g, model, one_pixel(0.1), fan_landmarks(0.5), "dt_pca")
+        recognize(g, model, one_pixel(26), fan_landmarks(0.5), "dt_pca")
     with pytest.raises(ValueError):
         save_gallery(g, model, "/tmp/never-written.json")
 
@@ -395,8 +396,8 @@ def record_ends(path):
 
 
 TWO_PIXEL_IMAGES = [
-    ImageVector(width=2, height=1, values=np.array(v))
-    for v in ([0.0, 0.0], [1.0, 0.2], [0.3, 1.0])
+    ImageVector(width=2, height=1, values=np.array(v, dtype=np.uint8))
+    for v in ([0, 0], [255, 51], [77, 255])
 ]
 
 
@@ -640,7 +641,7 @@ def large_query(tmp_path_factory):
     width, height, n = 320, 243, 9
 
     def image():
-        return ImageVector(width, height, rng.uniform(0, 1, width * height))
+        return ImageVector(width, height, rng.integers(0, 256, width * height, dtype=np.uint8))
 
     records = [
         TrainingRecord(image(), rng.uniform(0, 100, (12, 2)), f"s{i % 3}", f"v{i}", "")
@@ -738,7 +739,7 @@ def test_wrong_size_image_raises_what_the_sequential_order_raises(
     # A wrong-size image never overlaps: bad landmarks are named first, as
     # in the sequential order, and good ones leave the image's size error.
     gallery, model = large_query["reloaded"]
-    image = ImageVector(width, height, np.full(width * height, 0.5))
+    image = ImageVector(width, height, np.full(width * height, 128, dtype=np.uint8))
     landmarks = large_query["landmarks"]
     if kind != "good":
         landmarks = unmeshable(landmarks, kind)
