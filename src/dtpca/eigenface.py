@@ -1,4 +1,4 @@
-"""Eigenface model: mean face, top-k eigenvectors via SVD, projection.
+"""Eigenface model: mean face, top-k eigenvectors from the snapshot Gram's eigh, projection.
 
 With n training images of d pixels and n much smaller than d, the
 eigenvectors of the pixel-space scatter matrix are recovered from the

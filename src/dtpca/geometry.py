@@ -20,6 +20,9 @@ is the one whose lowest vertex index is smallest, so each cocircular
 polygon is fanned from its lowest index.  Only the sweep runs per point in
 Python; the finished mesh goes to numpy once, for the canonical triangle
 order and Heron's formula over all triangles (edge lengths from math.hypot).
+The sweep takes every determinant's differences from the inserted point,
+carries them from one hull edge or flip to the next, and finds duplicates
+as it goes: in lexicographic order a duplicate follows its twin.
 """
 
 from __future__ import annotations
@@ -130,6 +133,21 @@ def _static_bounds(xs, ys) -> tuple[float, float]:
     )
 
 
+def _halfedge_steps(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The halfedge after and before each of the first m: within a
+    triangle, e + 1 if e % 3 < 2 else e - 2, and e - 1 if e % 3 else e + 2."""
+    return (
+        tuple(e + 1 if e % 3 < 2 else e - 2 for e in range(m)),
+        tuple(e - 1 if e % 3 else e + 2 for e in range(m)),
+    )
+
+
+# The (next, prev) pair for the largest mesh so far, grown by the first
+# larger one.  It is one immutable object, rebound whole, so a delaunay on
+# another thread reads either the old pair or the new one.
+_STEPS = _halfedge_steps(0)
+
+
 def delaunay(points) -> Triangulation:
     """Delaunay-triangulate landmark points and compute their area descriptors.
 
@@ -138,6 +156,7 @@ def delaunay(points) -> Triangulation:
     order.  Raises ValueError on duplicate points, when all points are
     collinear, or when the areas overflow or all vanish.
     """
+    global _STEPS
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("expected an (n, 2) coordinate array")
@@ -147,27 +166,23 @@ def delaunay(points) -> Triangulation:
     if not np.all(np.isfinite(pts)):
         raise ValueError("non-finite coordinate")
 
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    sorted_pts = pts[order]
-    dup = np.all(sorted_pts[1:] == sorted_pts[:-1], axis=1)
-    if np.any(dup):
-        i = int(np.argmax(dup))
-        raise ValueError(
-            f"duplicate point ({sorted_pts[i, 0]}, {sorted_pts[i, 1]})"
-        )
-
     xs = pts[:, 0].tolist()
     ys = pts[:, 1].tolist()
 
     # Halfedge mesh: triangle t is tri[3t:3t+3], counterclockwise, and
-    # halfedge e runs from tri[e] to the next corner of its triangle.
-    # twin[e] is the opposite halfedge, or -1 on the hull.  Both lists are
-    # sized once for the 2n - 5 triangles n points can have at most (lists
-    # grown per triangle leave the heap fragmented for the caller's large
-    # arrays); size counts the halfedges in use.
+    # halfedge e runs from tri[e] to the next corner of its triangle,
+    # NEXT[e]; PREV[e] is the one before it.  twin[e] is the opposite
+    # halfedge, or -1 on the hull.  Both lists are sized once for the
+    # 2n - 5 triangles n points can have at most (lists grown per triangle
+    # leave the heap fragmented for the caller's large arrays); size counts
+    # the halfedges in use.
     tri = [0] * (6 * n)
     twin = [-1] * (6 * n)
     size = 0
+    steps = _STEPS
+    if len(steps[0]) < 6 * n:
+        steps = _STEPS = _halfedge_steps(6 * n)
+    NEXT, PREV = steps
     # Counterclockwise hull ring; hull_he[v] is the halfedge v -> hull_next[v].
     hull_next = [0] * n
     hull_prev = [0] * n
@@ -189,13 +204,18 @@ def delaunay(points) -> Triangulation:
         sign = _sign(_incircle_det, *coords)
         return sign or (1 if min(c, d) < min(a, b) else -1)
 
+    # Points go in lexicographic order, so a duplicate comes right after
+    # its twin, which is the point named.
     chain: list[int] = []  # leading collinear run, in sorted order
     last = -1  # the point inserted last, once the mesh is 2D
-    for i in order.tolist():
+    for i in np.lexsort((pts[:, 1], pts[:, 0])).tolist():
+        xi, yi = xs[i], ys[i]
         if last < 0:
             side = 0
+            if chain and xi == xs[chain[-1]] and yi == ys[chain[-1]]:
+                raise ValueError(f"duplicate point ({pts[chain[-1], 0]}, {pts[chain[-1], 1]})")
             if len(chain) >= 2:  # beyond the bound the sign is det's; within it, or nan, exact
-                c = (xs[chain[0]], ys[chain[0]], xs[chain[-1]], ys[chain[-1]], xs[i], ys[i])
+                c = (xs[chain[0]], ys[chain[0]], xs[chain[-1]], ys[chain[-1]], xi, yi)
                 det = _orient_det(*c)
                 side = (det > 0) - (det < 0) if abs(det) > orient_bound else _sign(_orient_det, *c)
             if side == 0:
@@ -220,21 +240,31 @@ def delaunay(points) -> Triangulation:
         # point, the hull's lexicographic maximum, since every direction into
         # the hull from there points away from i.  Walk both ways from it
         # while i is strictly right of the hull edge: beyond the bound the
-        # sign is det's, and within it, or nan, exact.
-        xi, yi = xs[i], ys[i]
-        first = last
-        while (
-            (det := _orient_det(xs[q := hull_prev[first]], ys[q], xs[first], ys[first], xi, yi))
-            < -orient_bound or not det > orient_bound
-            and _sign(_orient_det, xs[q], ys[q], xs[first], ys[first], xi, yi) < 0
-        ):
-            first = q
-        while (
-            (det := _orient_det(xs[last], ys[last], xs[q := hull_next[last]], ys[q], xi, yi))
-            < -orient_bound or not det > orient_bound
-            and _sign(_orient_det, xs[last], ys[last], xs[q], ys[q], xi, yi) < 0
-        ):
-            last = q
+        # sign is det's, and within it, or nan, exact.  Each orientation is
+        # _orient_det's expression, so it rounds the same, with each point's
+        # differences from i carried from one hull edge to the next.
+        lx, ly = xs[last] - xi, ys[last] - yi
+        if lx == ly == 0:
+            raise ValueError(f"duplicate point ({pts[last, 0]}, {pts[last, 1]})")
+        first, fx, fy = last, lx, ly
+        while True:
+            q = hull_prev[first]
+            qx, qy = xs[q] - xi, ys[q] - yi
+            det = qx * fy - qy * fx
+            if det > orient_bound or (not det < -orient_bound and _sign(
+                _orient_det, xs[q], ys[q], xs[first], ys[first], xi, yi
+            ) >= 0):
+                break
+            first, fx, fy = q, qx, qy
+        while True:
+            q = hull_next[last]
+            qx, qy = xs[q] - xi, ys[q] - yi
+            det = lx * qy - ly * qx
+            if det > orient_bound or (not det < -orient_bound and _sign(
+                _orient_det, xs[last], ys[last], xs[q], ys[q], xi, yi
+            ) >= 0):
+                break
+            last, lx, ly = q, qx, qy
         t0 = size
         v = first
         while v != last:
@@ -252,40 +282,57 @@ def delaunay(points) -> Triangulation:
 
         # Lawson flips (Guibas and Stolfi 1985).  Only edges opposite i can be
         # illegal, and a flip leaves two new ones to check, again opposite i.
-        # Within a triangle, the halfedge after e is e + 1 if e % 3 < 2 else
-        # e - 2, and the one before it e - 1 if e % 3 else e + 2.
+        # Halfedge a, in (pr, pl, i), is legal when i is outside the circle
+        # through its twin's triangle: _incircle_det(pr, pl, p1, i), in its
+        # operand order, is then positive, since (pr, pl, p1) is clockwise.
+        # Beyond the bound the sign is det's; within it, or nan, exact.  The
+        # differences from i and the lifts of pr and pl are carried along
+        # each flip chain.
         stack = list(range(t0, size, 3))
         while stack:
             a = stack.pop()
             b = twin[a]
             if b < 0:
                 continue
-            bl = b - 1 if b % 3 else b + 2
-            pr, pl, p1 = tri[a], tri[b], tri[bl]
-            det = _incircle_det(xs[pr], ys[pr], xs[pl], ys[pl], xi, yi, xs[p1], ys[p1])
-            # Beyond the bound the sign is det's; within it, or nan, exact.
-            if det < -incircle_bound or (
-                not det > incircle_bound and incircle_sign(pr, pl, i, p1) < 0
-            ):
-                continue
-            # Flip: halfedge a in (pr, pl, i) and its twin b in (pl, pr, p1)
-            # become (p1, pl, i) and (i, pr, p1); the halfedges pr -> p1 and
-            # p1 -> pl, now opposite i, are checked next.
-            ar = a - 1 if a % 3 else a + 2
-            tri[a] = p1
-            tri[b] = i
-            hbl, har = twin[bl], twin[ar]
-            twin[a], twin[b] = hbl, har
-            twin[ar], twin[bl] = bl, ar
-            if hbl < 0:  # hull edge p1 -> pl moved from slot bl to slot a
-                hull_he[p1] = a
-            else:
+            pr, pl = tri[a], tri[b]
+            adx, ady = xs[pr] - xi, ys[pr] - yi
+            bdx, bdy = xs[pl] - xi, ys[pl] - yi
+            alift = adx * adx + ady * ady
+            blift = bdx * bdx + bdy * bdy
+            while True:
+                bl = PREV[b]
+                p1 = tri[bl]
+                cdx, cdy = xs[p1] - xi, ys[p1] - yi
+                clift = cdx * cdx + cdy * cdy
+                det = (
+                    alift * (bdx * cdy - cdx * bdy)
+                    + blift * (cdx * ady - adx * cdy)
+                    + clift * (adx * bdy - bdx * ady)
+                )
+                if det > incircle_bound or (
+                    not det < -incircle_bound and incircle_sign(pr, pl, i, p1) < 0
+                ):
+                    break
+                # Flip: halfedge a in (pr, pl, i) and its twin b in
+                # (pl, pr, p1) become (p1, pl, i) and (i, pr, p1).  Of the
+                # halfedges now opposite i, pr -> p1 waits on the stack,
+                # and a, now p1 -> pl with twin hbl, is checked next.
+                ar = PREV[a]
+                tri[a] = p1
+                tri[b] = i
+                hbl, har = twin[bl], twin[ar]
+                twin[a], twin[b] = hbl, har
+                twin[ar], twin[bl] = bl, ar
+                if har < 0:  # hull edge i -> pr moved from slot ar to slot b
+                    hull_he[i] = b
+                else:
+                    twin[har] = b
+                stack.append(NEXT[b])
+                if hbl < 0:  # hull edge p1 -> pl moved from slot bl to slot a
+                    hull_he[p1] = a
+                    break
                 twin[hbl] = a
-            if har < 0:  # hull edge i -> pr moved from slot ar to slot b
-                hull_he[i] = b
-            else:
-                twin[har] = b
-            stack += b + 1 if b % 3 < 2 else b - 2, a
+                b, pr, adx, ady, alift = hbl, p1, cdx, cdy, clift
 
     if not size:
         raise ValueError("all points are collinear")
@@ -312,11 +359,12 @@ def delaunay(points) -> Triangulation:
         a, b, c = triangles[t]
         ints, den = _as_integers((xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]))
         areas[t] = abs(_orient_det(*ints)) / (2 * den * den)
-    # Heron overflows to inf or nan on coordinates near 1e150.  Then each
-    # area over the largest, which maps to exactly 1, and their mean, RA_avg.
-    if not np.all(np.isfinite(areas)):
-        raise ValueError("non-finite triangle area")
+    # Heron overflows to inf or nan on coordinates near 1e150, and then the
+    # largest area, as max propagates nan, is not finite.  Then each area
+    # over the largest, which maps to exactly 1, and their mean, RA_avg.
     amax = areas.max()
+    if not math.isfinite(amax):
+        raise ValueError("non-finite triangle area")
     if amax <= 0:
         raise ValueError("all areas are zero")
     ras = areas / amax

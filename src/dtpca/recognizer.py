@@ -186,26 +186,59 @@ def _ra_avg(triangulate) -> float:
 
 
 # The one worker thread of a large dt_pca query, made by its first such
-# query, so neither importing dtpca nor a small query pays for the thread
-# or for importing concurrent.futures.  A forked child has no copy of the
-# thread, so it drops the executor and makes its own.
-_executor = None
-_executor_lock = threading.Lock()
+# query, so neither importing dtpca nor a small query pays for the thread.
+# It is a daemon fed through one SimpleQueue, and each call gets its own
+# reply queue; _queue is the C module under queue, and concurrent.futures
+# would import logging.  A forked child has no copy of the thread, so it
+# drops the worker and makes its own.
+class _Worker:
+    """One daemon thread that runs submitted func(arg) calls in order."""
+
+    def __init__(self):
+        from _queue import SimpleQueue
+
+        self._new_reply = SimpleQueue
+        self._jobs = SimpleQueue()
+        threading.Thread(target=self._serve, name="dtpca-delaunay", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            func, arg, reply = self._jobs.get()
+            try:
+                reply.put((func(arg), None))
+            except BaseException as exc:  # the caller raises it
+                reply.put((None, exc))
+
+    def submit(self, func, arg):
+        """Queue func(arg); the callable returned waits for its value, or
+        raises its exception."""
+        reply = self._new_reply()
+        self._jobs.put((func, arg, reply))
+
+        def result():
+            value, exc = reply.get()
+            if exc is not None:
+                raise exc
+            return value
+
+        return result
 
 
-def _worker():
-    global _executor
-    with _executor_lock:
-        if _executor is None:
-            from concurrent.futures import ThreadPoolExecutor
+_the_worker = None
+_worker_lock = threading.Lock()
 
-            _executor = ThreadPoolExecutor(1, thread_name_prefix="dtpca-delaunay")
-        return _executor
+
+def _worker() -> _Worker:
+    global _the_worker
+    with _worker_lock:
+        if _the_worker is None:
+            _the_worker = _Worker()
+        return _the_worker
 
 
 def _drop_worker():
-    global _executor, _executor_lock
-    _executor, _executor_lock = None, threading.Lock()
+    global _the_worker, _worker_lock
+    _the_worker, _worker_lock = None, threading.Lock()
 
 
 os.register_at_fork(after_in_child=_drop_worker)
@@ -261,7 +294,7 @@ def recognize(
             x = eigenface.centered(model, test_image)
             mesh = _worker().submit(geometry.delaunay, test_landmarks)
             coords = model.eigenvectors.dot(x)
-            tt_avg = _ra_avg(mesh.result)
+            tt_avg = _ra_avg(mesh)
         else:
             tt_avg = _ra_avg(lambda: geometry.delaunay(test_landmarks))
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import os
@@ -385,15 +386,47 @@ def test_mean_and_gram_are_the_exact_oracle_bytes(width):
 BLAS_KERNEL_FLAGS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Zen": "avx2", "SandyBridge": "avx"}
 
 
+# numpy's OpenBLAS names the core whose kernel it loaded; run in a fresh
+# interpreter, this prints it for the OPENBLAS_CORETYPE of its environment.
+CORE_NAME = """
+import ctypes, numpy
+libs = {line.split()[-1] for line in open('/proc/self/maps')
+        if 'openblas' in line.rsplit('/', 1)[-1]}
+for lib in sorted(libs):
+    for name in ('scipy_openblas_get_corename64_', 'openblas_get_corename64_',
+                 'openblas_get_corename'):
+        corename = getattr(ctypes.CDLL(lib), name, None)
+        if corename:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            print(corename().decode())
+            raise SystemExit
+"""
+
+
+def blas_core_name(kernel):
+    """The core name OpenBLAS reports with OPENBLAS_CORETYPE=kernel, or
+    kernel itself where that cannot be read."""
+    proc = subprocess.run([sys.executable, "-c", CORE_NAME], capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_CORETYPE": kernel}, timeout=60)
+    return proc.returncode == 0 and proc.stdout.strip() or kernel
+
+
+@functools.cache
 def runnable_blas_kernels():
-    """The OpenBLAS kernels that the CPU's /proc/cpuinfo flags allow, or
-    [None], the kernel OpenBLAS picks itself, where the flags are unknown."""
+    """The OpenBLAS kernels that the CPU's /proc/cpuinfo flags allow, the
+    first of each core name OpenBLAS reports for them (Zen may load
+    Haswell's kernel), or [None], the kernel OpenBLAS picks itself, where
+    the flags are unknown."""
     try:
         with open("/proc/cpuinfo") as fh:
             flags = set(re.search(r"^flags\s*:(.*)$", fh.read(), re.M).group(1).split())
     except (OSError, AttributeError):
         flags = set()
-    return [kernel for kernel, flag in BLAS_KERNEL_FLAGS.items() if flag in flags] or [None]
+    kernels = {}
+    for kernel, flag in BLAS_KERNEL_FLAGS.items():
+        if flag in flags:
+            kernels.setdefault(blas_core_name(kernel), kernel)
+    return list(kernels.values()) or [None]
 
 
 def mismatches_at_blas_threads(threads, name, kernel=None):

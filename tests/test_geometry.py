@@ -2,6 +2,9 @@ import hashlib
 import itertools
 import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -216,6 +219,29 @@ def test_delaunay_collinear_raises():
 def test_delaunay_duplicate_raises():
     with pytest.raises(ValueError):
         delaunay(np.array([(0, 0), (1, 0), (0, 1), (1, 0)], dtype=float))
+
+
+@pytest.mark.parametrize(
+    "pts, message",
+    [
+        # 0.0 and -0.0 are equal, so the pair keeps its input order and the
+        # first of it in sorted order is named, with its zero.
+        ([(0.0, 1.0), (-0.0, 1.0), (1.0, 0.0)], "duplicate point (0.0, 1.0)"),
+        ([(-0.0, 1.0), (0.0, 1.0), (1.0, 0.0)], "duplicate point (-0.0, 1.0)"),
+        ([(0.0, -0.0), (-0.0, 0.0), (1.0, 0.0)], "duplicate point (0.0, -0.0)"),
+        # Of two pairs, the one that comes first in sorted order.
+        ([(5, 5), (3, 0), (1, 2), (5, 5), (0, 4), (1, 2)], "duplicate point (1.0, 2.0)"),
+        # A pair met once the mesh is 2D.
+        ([(0, 0), (1, 0), (0, 1), (3, 3), (2, 5), (3, 3)], "duplicate point (3.0, 3.0)"),
+        # Collinear points that hold a pair: the pair is reported.
+        ([(0, 0), (1, 1), (2, 2), (1, 1)], "duplicate point (1.0, 1.0)"),
+        ([(2, 2), (0, 0), (2, 2)], "duplicate point (2.0, 2.0)"),
+    ],
+)
+def test_delaunay_duplicate_names_the_first_of_the_pair(pts, message):
+    with pytest.raises(ValueError) as info:
+        delaunay(np.array(pts, dtype=float))
+    assert str(info.value) == message
 
 
 def test_delaunay_too_few_points():
@@ -521,6 +547,59 @@ def test_delaunay_synthetic_clouds_byte_identical():
     assert digest.hexdigest() == (
         "0ae3250b23d41a8d1243c887f9efb65edf443e6fbd7170ae3762803a8117e909"
     )
+
+
+def test_delaunay_gallery_scan_clouds_byte_identical():
+    # Pins the meshes and areas of the seed-1 68-point clouds of 96
+    # subjects and 8 variants, as gallery_scan makes them.  From subject 35
+    # on, ay = 70 - 2 si flattens the ellipse (350 x 2.2 at 35) and then
+    # mirrors it, shapes the 15 subjects above never reach.
+    digest = hashlib.sha256()
+    for si in range(96):
+        for vi in range(8):
+            tri = delaunay(synthetic._landmark_cloud(si, vi, 68, 1))
+            digest.update(repr(tri.triangles).encode())
+            digest.update(tri.areas.tobytes())
+            digest.update(tri.average_relative_area.hex().encode())
+    assert digest.hexdigest() == (
+        "7b828e615807153177a6ea176db25e20260682eceb7a0b959ae1282d91737341"
+    )
+
+
+def test_delaunay_meshes_the_same_on_many_threads_at_once(monkeypatch):
+    # Four threads, more than the cores, mesh sets of 3 to 194 points at
+    # once, many times.  Each round starts from empty halfedge step tables,
+    # so the larger meshes grow them while the others read them.  Every
+    # mesh must be the one a single thread makes.
+    sets = [np.array([(0, 0), (1, 0), (0, 1)], dtype=float)]
+    sets += [synthetic._landmark_cloud(0, 0, scheme, 0) for scheme in (68, 79, 194)]
+    expected = [(t.triangles, t.areas.tobytes()) for t in map(delaunay, sets)]
+    meshes = [[] for _ in sets]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            monkeypatch.setattr(geometry, "_STEPS", geometry._halfedge_steps(0))
+            start = threading.Barrier(len(sets), timeout=60)
+
+            def run(k):
+                start.wait()
+                for _ in range(5):
+                    tri = delaunay(sets[k])
+                    meshes[k].append((tri.triangles, tri.areas.tobytes()))
+
+            threads = [threading.Thread(target=run, args=(k,), daemon=True)
+                       for k in range(len(sets))]
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 60
+            for t in threads:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert [len(m) for m in meshes] == [50] * len(sets)
+    assert all(mesh == expected[k] for k, runs in enumerate(meshes) for mesh in runs)
 
 
 def test_delaunay_integer_synthetic_clouds_byte_identical():

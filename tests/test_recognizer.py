@@ -772,14 +772,32 @@ def test_forked_child_makes_its_own_worker(large_query):
 
 
 def test_import_starts_no_thread_and_skips_concurrent_futures():
+    # Importing dtpca starts no thread; the first overlapped query starts
+    # the one worker, and neither imports concurrent.futures.
     src = os.path.dirname(os.path.dirname(dtpca.__file__))
-    code = (
-        "import sys, threading, dtpca; "
-        "print('concurrent.futures' in sys.modules, threading.active_count())"
-    )
+    code = """
+import sys, threading
+import numpy as np
+import dtpca
+from dtpca import recognizer
+from dtpca.dataset_io import ImageVector
+from dtpca.eigenface import fit_eigenmodel
+print('concurrent.futures' in sys.modules, threading.active_count())
+rng = np.random.default_rng(5)
+images = [ImageVector(320, 243, rng.integers(0, 256, 320 * 243, dtype=np.uint8))
+          for _ in range(9)]
+model = fit_eigenmodel(images, k=8)
+assert model.k * 320 * 243 >= recognizer.OVERLAP_WORK
+records = [recognizer.TrainingRecord(im, rng.uniform(0, 100, (12, 2)), 's', str(i), '')
+           for i, im in enumerate(images)]
+gallery = recognizer.build_gallery(model, records)
+before = threading.active_count()
+recognizer.recognize(gallery, model, images[0], rng.uniform(0, 100, (12, 2)), 'dt_pca')
+print('concurrent.futures' in sys.modules, before, threading.active_count())
+"""
     proc = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "1"]
+    assert proc.stdout.split() == ["False", "1", "False", "1", "2"]
