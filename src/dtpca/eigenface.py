@@ -10,7 +10,14 @@ over the retained k coordinates.
 A projection is `eigenvectors.dot(centered)`, not `eigenvectors @
 centered`.  The two give the same bits, but `@` holds the GIL through
 its one matrix-vector product, and ndarray.dot releases it, so a query
-can triangulate its landmarks on another thread while the product runs.
+can triangulate its landmarks on another thread while the product runs,
+or multiply some of the rows there.  At one BLAS thread, rows [0:s) and
+[s:k) multiplied apart give one product's bytes when s is a multiple of 4
+and at least 2 rows lie behind it: OpenBLAS's one-thread kernels, on
+SkylakeX, Haswell, Zen and SandyBridge alike, take the rows in fours.  A
+1-row part, or a cut off the multiple of 4, changes bits; at two or more
+BLAS threads OpenBLAS cuts the rows itself, and a cut of ours changes
+bits there too.
 
 The fit streams the images in column panels and never holds them as one
 n x d float64 matrix: its one buffer holds the k x d eigenvectors and,

@@ -10,6 +10,8 @@ with the smallest RV; ties break toward the lowest gallery index.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 import os
@@ -28,11 +30,13 @@ from .eigenface import EigenModel
 
 DEFAULT_DT_DIVISOR = 0.001
 
-# A dt_pca query whose image has the model's size triangulates its
-# landmarks on a worker thread while the eigenface product runs when that
-# product is at least OVERLAP_WORK multiply-adds (k x width x height),
-# 1.5 to 2 times where the overlap was measured to start paying for its
-# hand-off.  Smaller queries run one step after the other.
+# A query whose image has the model's size uses the worker thread when its
+# eigenface product is at least OVERLAP_WORK multiply-adds (k x width x
+# height): a dt_pca query triangulates its landmarks there while the
+# product runs, and a pca_only query at one BLAS thread multiplies half of
+# the rows there.  Both hand-offs were measured to start paying at 0.2 to
+# 0.36 M multiply-adds, 1.5 to 2.6 times below this.  Smaller queries run
+# on the calling thread alone.
 OVERLAP_WORK = 2**19
 
 
@@ -185,8 +189,10 @@ def _ra_avg(triangulate) -> float:
         raise LandmarkError(str(exc)) from None
 
 
-# The one worker thread of a large dt_pca query, made by its first such
-# query, so neither importing dtpca nor a small query pays for the thread.
+# The one worker thread of large queries, which triangulates a dt_pca
+# query's landmarks or multiplies rows of a pca_only query's product.  The
+# first such query makes it, so neither importing dtpca nor a small query
+# pays for the thread.
 # It is a daemon fed through one SimpleQueue, and each call gets its own
 # reply queue; _queue is the C module under queue, and concurrent.futures
 # would import logging.  A forked child has no copy of the thread, so it
@@ -199,7 +205,7 @@ class _Worker:
 
         self._new_reply = SimpleQueue
         self._jobs = SimpleQueue()
-        threading.Thread(target=self._serve, name="dtpca-delaunay", daemon=True).start()
+        threading.Thread(target=self._serve, name="dtpca-worker", daemon=True).start()
 
     def _serve(self):
         while True:
@@ -244,6 +250,43 @@ def _drop_worker():
 os.register_at_fork(after_in_child=_drop_worker)
 
 
+@functools.cache
+def _blas_thread_count():
+    """numpy's OpenBLAS function that returns its thread count, or None.
+    dlsym on numpy's core module also searches the libraries it links."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        func = getattr(lib, name, None)
+        if func is not None:
+            func.argtypes, func.restype = [], ctypes.c_int
+            return func
+    return None
+
+
+def _blas_threads() -> int | None:
+    """The threads OpenBLAS runs now, or None where it cannot be read."""
+    count = _blas_thread_count()
+    return None if count is None else count()
+
+
+def _two_core_product(eigenvectors: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """eigenvectors.dot(x), rows [s:k) on the worker while the calling
+    thread multiplies rows [0:s), s = 4 * (k // 8).  At one BLAS thread
+    and k >= 8 these are one product's bytes, by the row-cut rule in the
+    eigenface module's docstring."""
+    k = len(eigenvectors)
+    s = 4 * (k // 8)
+    coords = np.empty(k)
+    tail = _worker().submit(lambda rows: rows.dot(x, out=coords[s:]), eigenvectors[s:])
+    eigenvectors[:s].dot(x, out=coords[:s])
+    tail()
+    return coords
+
+
 def recognize(
     gallery: Gallery,
     model: EigenModel,
@@ -261,10 +304,14 @@ def recognize(
     lowest row index.  dt_divisor must be finite and at least the smallest
     normal double: D < 1, so D / dt_divisor then stays finite.
 
-    A dt_pca query whose image has the model's size and whose product is
-    at least OVERLAP_WORK multiply-adds triangulates on one worker thread
-    while the calling thread projects; it gives the same report and raises
-    the same errors as one step after the other.
+    A query whose image has the model's size and whose product is at
+    least OVERLAP_WORK multiply-adds uses one worker thread.  In dt_pca
+    mode it triangulates there while the calling thread projects.  In
+    pca_only mode with k >= 8, while OpenBLAS reports one thread, the
+    worker multiplies the last rows of the product and the calling thread
+    the first; at more threads OpenBLAS already uses the cores.  Either
+    way the query gives the same report and raises the same errors as one
+    step after the other.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -274,6 +321,9 @@ def recognize(
         raise ValueError("empty gallery")
 
     tt_avg = coords = None
+    large = (test_image.width, test_image.height) == (model.width, model.height) and (
+        model.k * model.width * model.height >= OVERLAP_WORK
+    )
     if mode == "dt_pca":
         if test_landmarks is None:
             raise ValueError("dt_pca mode requires test landmarks")
@@ -284,9 +334,7 @@ def recognize(
                 f"landmark scheme mismatch: test {len(test_landmarks)} "
                 f"vs gallery {gallery.scheme}"
             )
-        if (test_image.width, test_image.height) == (model.width, model.height) and (
-            model.k * model.width * model.height >= OVERLAP_WORK
-        ):
+        if large:
             # The sweep is Python and the product native code that releases
             # the GIL, so the two run on two cores.  The image is centered
             # first: its ufuncs release the GIL too, and would then wait
@@ -297,6 +345,8 @@ def recognize(
             tt_avg = _ra_avg(mesh)
         else:
             tt_avg = _ra_avg(lambda: geometry.delaunay(test_landmarks))
+    elif large and model.k >= 8 and _blas_threads() == 1:
+        coords = _two_core_product(model.eigenvectors, eigenface.centered(model, test_image))
 
     if coords is None:
         coords = eigenface.project(model, test_image)

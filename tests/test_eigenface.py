@@ -429,11 +429,11 @@ def runnable_blas_kernels():
     return list(kernels.values()) or [None]
 
 
-def mismatches_at_blas_threads(threads, name, kernel=None):
-    """What test_eigenface.<name>() prints in a fresh interpreter whose BLAS
-    runs `threads` threads on the OpenBLAS kernel named, or the one OpenBLAS
-    picks for None.  Both are read when OpenBLAS loads, so each needs its
-    own interpreter."""
+def mismatches_at_blas_threads(threads, name, kernel=None, module="test_eigenface"):
+    """What <module>.<name>() prints in a fresh interpreter whose BLAS runs
+    `threads` threads on the OpenBLAS kernel named, or the one OpenBLAS
+    picks for None; module is a test module's name.  Both are read when
+    OpenBLAS loads, so each needs its own interpreter."""
     tests = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(dtpca.__file__))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
@@ -441,17 +441,17 @@ def mismatches_at_blas_threads(threads, name, kernel=None):
     if kernel:
         env["OPENBLAS_CORETYPE"] = kernel
     proc = subprocess.run(
-        [sys.executable, "-c", f"import test_eigenface; print(test_eigenface.{name}())"],
+        [sys.executable, "-c", f"import {module}; print({module}.{name}())"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
 
-def mismatches_per_blas_kernel(threads, name):
-    """{kernel: what <name>() prints} at `threads` BLAS threads, on every
-    OpenBLAS kernel the CPU can run."""
-    return {kernel: mismatches_at_blas_threads(threads, name, kernel)
+def mismatches_per_blas_kernel(threads, name, module="test_eigenface"):
+    """{kernel: what <module>.<name>() prints} at `threads` BLAS threads,
+    on every OpenBLAS kernel the CPU can run."""
+    return {kernel: mismatches_at_blas_threads(threads, name, kernel, module)
             for kernel in runnable_blas_kernels()}
 
 

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import os
@@ -17,9 +18,10 @@ import dtpca
 import oracles
 from dtpca import geometry, recognizer
 from dtpca.dataset_io import ImageVector
-from dtpca.eigenface import ImageSizeError, fit_eigenmodel, project
+from dtpca.eigenface import EigenModel, ImageSizeError, centered, fit_eigenmodel, project
 from dtpca.recognizer import (
     GALLERY_ARRAYS,
+    MODES,
     OVERLAP_WORK,
     GalleryFormatError,
     LandmarkError,
@@ -693,12 +695,126 @@ def test_overlapped_query_equals_the_sequential_one(large_query, mesh_threads, m
         assert np.array_equal(getattr(overlapped, name), getattr(one_by_one, name))
 
 
-def test_small_and_pca_only_queries_never_use_the_worker(flip_fixture, large_query, monkeypatch):
+def never_use_the_worker(monkeypatch):
     monkeypatch.setattr(recognizer, "_worker", lambda: pytest.fail("the worker was used"))
-    gallery, model = large_query["reloaded"]
-    recognize(gallery, model, large_query["image"], None, "pca_only")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_small_queries_never_use_the_worker(flip_fixture, monkeypatch, mode):
+    never_use_the_worker(monkeypatch)
+    monkeypatch.setattr(recognizer, "_blas_threads", lambda: 1)
     model, gallery, test_image, test_landmarks = flip_fixture
-    recognize(gallery, model, test_image, test_landmarks, "dt_pca")
+    recognize(gallery, model, test_image, test_landmarks, mode)
+
+
+def assert_same_report(got, expected):
+    assert got.best_index == expected.best_index
+    for name in ("ed", "d", "rv"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name))
+
+
+@pytest.mark.parametrize("source", ["fitted", "reloaded"])
+@pytest.mark.parametrize("threads", [1, 2, None])
+def test_large_pca_only_query_splits_only_at_one_blas_thread(
+    large_query, monkeypatch, threads, source
+):
+    # The fixture's k = 8 puts the cut after row 4, where OpenBLAS at two
+    # threads cuts its own product too, so the bytes hold at either real
+    # thread count; split_query_mismatches checks them where they must.
+    gallery, model = large_query[source]
+    args = (gallery, model, large_query["image"], None, "pca_only")
+    monkeypatch.setattr(recognizer, "_blas_threads", lambda: threads)
+    idents = []
+    if threads == 1:
+        worker = recognizer._worker()
+
+        class Spy:
+            def submit(self, func, arg):
+                def spied(arg):
+                    idents.append(threading.get_ident())
+                    return func(arg)
+
+                return worker.submit(spied, arg)
+
+        monkeypatch.setattr(recognizer, "_worker", Spy)
+    else:
+        never_use_the_worker(monkeypatch)
+    report = recognize(*args)
+    assert [ident != threading.get_ident() for ident in idents] == [True] * (threads == 1)
+    sequential(monkeypatch)
+    assert_same_report(report, recognize(*args))
+
+
+def test_blas_threads_follows_a_runtime_change():
+    get = recognizer._blas_thread_count()
+    if get is None:
+        pytest.skip("numpy's BLAS reports no thread count")
+    put = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__), get.__name__.replace("get", "set"))
+    put.argtypes, put.restype = [ctypes.c_int], None
+    before = recognizer._blas_threads()
+    try:
+        put(1)
+        assert recognizer._blas_threads() == 1
+    finally:
+        put(before)
+    assert recognizer._blas_threads() == before
+
+
+# k x width x height runs from 8 x 160 x 131 = 0.17 M to 33 x 400 x 250 =
+# 3.3 M multiply-adds, with k on and off the multiples of 4 and 8, and one
+# odd pixel count.
+SPLIT_KS = (8, 9, 12, 13, 16, 17, 24, 25, 30, 33)
+SPLIT_SIZES = ((160, 131), (161, 131), (320, 243), (400, 250))
+
+
+def split_query_mismatches():
+    """What breaks, in this interpreter, the rule that a large pca_only
+    query splits its product only at one BLAS thread, and gives one
+    product's bytes there: a gallery image whose self-match ED is not 0, a
+    split taken or skipped against the thread count OpenBLAS reports, and
+    at one thread the (k, d, view) cases where the two-core product
+    differs from project.  view marks read-only frombuffer views, the
+    arrays load_gallery gives."""
+    threads = recognizer._blas_threads()
+    rng = np.random.default_rng(31)
+    images = [ImageVector(320, 243, rng.integers(0, 256, 320 * 243, dtype=np.uint8))
+              for _ in range(9)]
+    model = fit_eigenmodel(images, k=8)
+    gallery = build_gallery(
+        model, [TrainingRecord(im, None, f"s{i}", "v", "") for i, im in enumerate(images)]
+    )
+    mismatches = []
+    if recognize(gallery, model, images[4], None, "pca_only").ed[4] != 0.0:
+        mismatches.append("self-match")
+    # Nothing before that query made the worker.
+    if (recognizer._the_worker is not None) != (threads == 1):
+        mismatches.append(f"split is {recognizer._the_worker is not None} at {threads} threads")
+    if threads != 1:
+        return mismatches
+    for k in SPLIT_KS:
+        for width, height in SPLIT_SIZES:
+            d = width * height
+            mean, vecs = rng.uniform(0, 1, d), rng.standard_normal((k, d))
+            img = ImageVector(width, height, rng.integers(0, 256, d, dtype=np.uint8))
+            for view in (False, True):
+                if view:
+                    mean = np.frombuffer(mean.tobytes(), "<f8")
+                    vecs = np.frombuffer(vecs.tobytes(), "<f8").reshape(k, d)
+                model = EigenModel(width, height, mean, vecs, np.ones(k), k, k)
+                split = recognizer._two_core_product(vecs, centered(model, img))
+                if split.tobytes() != project(model, img).tobytes():
+                    mismatches.append((k, d, view))
+    return mismatches
+
+
+def test_split_query_gives_the_one_product_bytes_only_at_one_blas_thread():
+    # Imported here: test_eigenface imports this module.
+    from test_eigenface import mismatches_at_blas_threads, mismatches_per_blas_kernel
+
+    runs = mismatches_per_blas_kernel("1", "split_query_mismatches", "test_recognizer")
+    assert runs == dict.fromkeys(runs, "[]")
+    two = mismatches_at_blas_threads("2", "split_query_mismatches", module="test_recognizer")
+    assert two == "[]"
 
 
 def unmeshable(landmarks, kind):
@@ -748,32 +864,37 @@ def test_wrong_size_image_raises_what_the_sequential_order_raises(
     assert mesh_threads == [threading.get_ident()]
 
 
-def test_forked_child_makes_its_own_worker(large_query):
+def test_forked_child_makes_its_own_worker(large_query, monkeypatch):
+    # Each mode's query leaves the parent with its worker thread, which the
+    # child does not inherit; the child's first query must make its own.
+    # A pca_only query splits its product there, as at one BLAS thread.
     gallery, model = large_query["reloaded"]
-    args = (gallery, model, large_query["image"], large_query["landmarks"], "dt_pca")
-    # This query leaves the parent with its worker thread, which the child
-    # does not inherit; the child's query must make its own.
-    expected = recognize(*args).rv
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            code = 0 if np.array_equal(recognize(*args).rv, expected) else 3
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 30
-    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    if done[0] == 0:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child's overlapped query did not finish in 30 s")
-    assert os.waitstatus_to_exitcode(done[1]) == 0
+    monkeypatch.setattr(recognizer, "_blas_threads", lambda: 1)
+    for mode in MODES:
+        args = (gallery, model, large_query["image"], large_query["landmarks"], mode)
+        expected = recognize(*args).rv
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(recognize(*args).rv, expected) else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail(f"the forked child's {mode} query did not finish in 30 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0, mode
 
 
 def test_import_starts_no_thread_and_skips_concurrent_futures():
-    # Importing dtpca starts no thread; the first overlapped query starts
-    # the one worker, and neither imports concurrent.futures.
+    # Importing dtpca starts no thread.  The first query that uses the
+    # worker starts the one worker, a later one reuses it, and they import
+    # nothing but _queue, the C module it is built on: a large pca_only
+    # query uses it at one BLAS thread, a dt_pca one always.
     src = os.path.dirname(os.path.dirname(dtpca.__file__))
     code = """
 import sys, threading
@@ -791,13 +912,22 @@ assert model.k * 320 * 243 >= recognizer.OVERLAP_WORK
 records = [recognizer.TrainingRecord(im, rng.uniform(0, 100, (12, 2)), 's', str(i), '')
            for i, im in enumerate(images)]
 gallery = recognizer.build_gallery(model, records)
-before = threading.active_count()
-recognizer.recognize(gallery, model, images[0], rng.uniform(0, 100, (12, 2)), 'dt_pca')
-print('concurrent.futures' in sys.modules, before, threading.active_count())
+print(recognizer._blas_threads())
+modules = set(sys.modules)
+for mode in ('pca_only', 'dt_pca'):
+    recognizer.recognize(gallery, model, images[0], rng.uniform(0, 100, (12, 2)), mode)
+    print(threading.active_count())
+print(sorted(set(sys.modules) - modules))
 """
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "1", "False", "1", "2"]
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        # On a one-core machine OpenBLAS runs one thread whatever is asked.
+        assert lines[1] in (threads, "1")
+        split = lines[1] == "1"
+        assert lines == ["False 1", lines[1], "2" if split else "1", "2", "['_queue']"]
