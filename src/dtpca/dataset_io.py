@@ -2,18 +2,19 @@
 
 Images are 8-bit grayscale PGM (binary P5 or ASCII P2, maxval 255),
 flattened row-major and kept as their raw uint8 pixels, one byte each; a
-pixel's intensity is its value divided by exactly 255, which
-ImageVector.normalized() gives.  The eigenface fit sums its Gram from the
-integer pixels, so an ImageVector holds uint8 pixels only.  Landmarks are
-one "x,y" pair per line.  A manifest CSV lists the images of a dataset with
-their subject id, variant label, and landmark file; train/test splitting is
-deterministic (first k variants per subject, in manifest order).
+pixel's intensity is its value divided by exactly 255, which a whole
+image's ImageVector.normalized() gives.  The eigenface fit copies the raw
+pixels, so an ImageVector holds uint8 pixels only.  Landmarks are one
+"x,y" pair per line.  A manifest CSV lists the images of a dataset with
+their subject id, variant label, and landmark file; train/test splitting
+is deterministic (first k variants per subject, in manifest order).
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -24,6 +25,14 @@ import numpy as np
 
 class DatasetFormatError(ValueError):
     """A dataset file exists but its contents are not in the expected format."""
+
+
+def checked_int(value, name: str, error=ValueError) -> int:
+    """value as a Python int.  Raises error naming name and value unless
+    value is an integer; a bool or a float is not an integer here."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -43,12 +52,11 @@ class ImageVector:
         if len(v) != self.width * self.height:
             raise ValueError(f"value count {len(v)} != {self.width}x{self.height}")
 
-    def normalized(self, start=0, stop=None, out=None) -> np.ndarray:
-        """The intensities of values[start:stop] as float64, each pixel
-        divided by exactly 255.  Written into `out` when given."""
+    def normalized(self) -> np.ndarray:
+        """The intensities as float64, each pixel divided by exactly 255."""
         # Divide rather than multiply by 1/255: the product rounds
         # differently for 24 of the 256 pixel values.
-        return np.divide(self.values[start:stop], 255.0, out=out)
+        return np.divide(self.values, 255.0)
 
 
 @dataclass(frozen=True)
@@ -259,7 +267,7 @@ def split_dataset(
     """Deterministic split: per subject, the first k entries in manifest
     order are the training set and the remainder the test set.
     """
-    k = train_variants_per_subject
+    k = checked_int(train_variants_per_subject, "train_variants_per_subject")
     seen: dict[str, int] = {}
     train: list[ManifestEntry] = []
     test: list[ManifestEntry] = []

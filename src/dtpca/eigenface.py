@@ -21,19 +21,20 @@ bits there too.
 
 The fit streams the images in column panels and never holds them as one
 n x d float64 matrix: its one buffer holds the k x d eigenvectors and,
-behind them, one panel.  A first pass copies each panel's raw uint8
-pixels, adds its product to the raw Gram S and sums its columns.  Every
-partial sum is an integer of at most d * 255**2, below 2**53, so S and
-the column sums are exact in any order, on any BLAS kernel and at any
-thread count.  The mean is the column sums over 255 * n, and the
-centered Gram times n**2 * 255**2 is the integer n**2 * S - n * (r_a +
-r_b) + t, where r holds S's row sums and t their total; it is formed in
-int64, below 2**63, and divided once.  A fit whose d * 255**2 reaches
-2**53, or whose 4 * n**2 * d * 255**2 reaches 2**63, is refused.  The
-second pass re-forms and centers each lift block from the images and
-writes its product into the eigenvectors.  Between them the buffer gives
-its panel back while the Gram is eigendecomposed, and only the kept Gram
-eigenvectors are reordered for the lift.  The lift runs in blocks of
+behind them, one panel of raw uint8 pixels.  A first pass copies
+LIFT_BLOCK columns at a time, adds each panel's product to the raw Gram S
+and sums its columns.  Every partial sum is an integer of at most d *
+255**2, below 2**53, so S and the column sums are exact in any order, on
+any BLAS kernel and at any thread count.  The mean is the column sums
+over 255 * n, and the centered Gram times n**2 * 255**2 is the integer
+n**2 * S - n * (r_a + r_b) + t, where r holds S's row sums and t their
+total; it is formed in int64, below 2**63, and divided once.  A fit whose
+d * 255**2 reaches 2**53, or whose 4 * n**2 * d * 255**2 reaches 2**63,
+is refused.  The second pass copies each lift block, divides it by 255.0
+in place, which gives the bits of ImageVector.normalized(), centers it
+and writes its product into the eigenvectors.  Between them the buffer
+gives its panel back while the Gram is eigendecomposed, and only the kept
+Gram eigenvectors are reordered for the lift.  The lift runs in blocks of
 2,048 columns or a multiple, with a large enough remainder as a block of
 its own, which give one product's bytes.  So the model is bit for bit
 that of one lift product over all columns from the exact Gram.
@@ -41,12 +42,11 @@ that of one lift product over all columns from the exact Gram.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset_io import ImageVector
+from .dataset_io import ImageVector, checked_int
 
 # Gram eigenvalues below RANK_RTOL * largest are treated as rank deficiency.
 RANK_RTOL = 1e-10
@@ -97,12 +97,7 @@ class EigenModel:
 def checked_k(k) -> int:
     """k as a Python int.  Raises ValueError unless k is an integer >= 1;
     a bool or a float is not an integer here."""
-    try:
-        if isinstance(k, bool):
-            raise TypeError
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"k must be an integer, got {k!r}") from None
+    k = checked_int(k, "k")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return k
@@ -127,10 +122,10 @@ def fit_eigenmodel(images: list[ImageVector], k: int) -> EigenModel:
             "d * 255**2 must be below 2**53 and 4 * n**2 * d * 255**2 below 2**63"
         )
     # The fit's one large buffer: room for the k x d eigenvectors at its
-    # front and, behind them, an n x width panel, where width is the widest
-    # lift block if every requested component is kept.
+    # front, if every requested component is kept, and behind them an n x
+    # LIFT_BLOCK panel for the Gram pass, whose sums are exact at any width.
     most = min(k, n - 1)
-    width = _widest(_lift_stops(n, d, most))
+    width = min(d, LIFT_BLOCK)
     buf = np.empty(most * d + n * width)
     mean, gram = _mean_and_gram(images, buf[most * d :].reshape(n, width))
     # Nothing reads the panel again before the lift, so it is given back
@@ -147,16 +142,17 @@ def fit_eigenmodel(images: list[ImageVector], k: int) -> EigenModel:
     sigma = np.sqrt(lam[:kept])
     # Only the kept Gram eigenvectors are reordered, and no n x n array is
     # held through the lift.  They are lifted to pixel space one column
-    # block at a time, each block re-formed from the images and centered
-    # behind the eigenvectors in the regrown buffer; fewer kept components
-    # than requested make the blocks wider.
+    # block at a time, each block re-formed from the raw pixels, divided by
+    # 255 as ImageVector.normalized() divides them, and centered behind the
+    # eigenvectors in the regrown buffer.
     lift = vecs[:, order[:kept]].T
     del vecs
     stops = _lift_stops(n, d, kept)
-    buf.resize(kept * d + n * _widest(stops), refcheck=False)
+    buf.resize(kept * d + n * max(np.diff([0, *stops])), refcheck=False)
     eigvecs = buf[: kept * d].reshape(kept, d)
     for start, stop in zip([0, *stops], stops):
         block = _panel(images, start, stop, buf[kept * d :])
+        block /= 255.0
         block -= mean[start:stop]
         np.matmul(lift, block, out=eigvecs[:, start:stop])
     # Then shrunk in place to the eigenvectors, so they stay C-contiguous,
@@ -197,22 +193,12 @@ def _lift_stops(n: int, d: int, kept: int) -> list[int]:
     return stops
 
 
-def _widest(stops: list[int]) -> int:
-    return max(stop - start for start, stop in zip([0, *stops], stops))
-
-
-def _panel(
-    images: list[ImageVector], start: int, stop: int, buf: np.ndarray, raw=False
-) -> np.ndarray:
-    """Columns start:stop of the images' intensities, or of their raw
-    pixels if raw, written into the front of buf as a C-contiguous
-    n x (stop - start) panel."""
+def _panel(images: list[ImageVector], start: int, stop: int, buf: np.ndarray) -> np.ndarray:
+    """Columns start:stop of the images' raw pixels, written into the front
+    of buf as a C-contiguous n x (stop - start) panel."""
     panel = buf.reshape(-1)[: len(images) * (stop - start)].reshape(len(images), -1)
     for img, row in zip(images, panel):
-        if raw:
-            row[:] = img.values[start:stop]
-        else:
-            img.normalized(start, stop, out=row)
+        row[:] = img.values[start:stop]
     return panel
 
 
@@ -227,7 +213,7 @@ def _mean_and_gram(images: list[ImageVector], buf: np.ndarray):
     gram, product = np.zeros((n, n)), np.empty((n, n))
     for start in range(0, d, width):
         stop = min(start + width, d)
-        panel = _panel(images, start, stop, buf, raw=True)
+        panel = _panel(images, start, stop, buf)
         np.matmul(panel, panel.T, out=product)
         gram += product
         panel.sum(axis=0, out=mean[start:stop])

@@ -44,6 +44,8 @@ class ExperimentConfig:
 
 
 def _check_inputs(train_variants, k, modes, dt_divisor) -> None:
+    for tv in train_variants:
+        dataset_io.checked_int(tv, "train_variants", SplitRangeError)
     if not train_variants or min(train_variants) < 1:
         raise SplitRangeError("train_variants must be >= 1")
     if len(set(train_variants)) != len(train_variants):

@@ -123,6 +123,15 @@ class MatchReport:
         }
 
 
+def _ra_avg(points) -> float:
+    """The average relative area of the landmarks' Delaunay mesh, or
+    LandmarkError with delaunay's reason."""
+    try:
+        return geometry.delaunay(points).average_relative_area
+    except ValueError as exc:
+        raise LandmarkError(str(exc)) from None
+
+
 def landmark_descriptors(sets) -> tuple[int | None, np.ndarray]:
     """The scheme and the (n,) RA_avg array of n training landmark sets.
 
@@ -143,8 +152,8 @@ def landmark_descriptors(sets) -> tuple[int | None, np.ndarray]:
                 index,
             )
         try:
-            ra_avg.append(geometry.delaunay(points).average_relative_area)
-        except ValueError as exc:
+            ra_avg.append(_ra_avg(points))
+        except LandmarkError as exc:
             raise LandmarkError(str(exc), index) from None
     return scheme, np.array(ra_avg, dtype=float)
 
@@ -180,74 +189,54 @@ def build_gallery(model: EigenModel, train) -> Gallery:
     )
 
 
-def _ra_avg(triangulate) -> float:
-    """The average relative area of the mesh triangulate() returns, or
-    LandmarkError with delaunay's reason."""
-    try:
-        return triangulate().average_relative_area
-    except ValueError as exc:
-        raise LandmarkError(str(exc)) from None
+# The one job queue of large queries, whose worker thread triangulates a
+# dt_pca query's landmarks or multiplies rows of a pca_only query's
+# product.  The first such query makes the queue and its thread, so neither
+# importing dtpca nor a small query pays for the thread.  The thread is a
+# daemon, and each job brings its own reply queue; _queue is the C module
+# under queue, and concurrent.futures would import logging.  A forked
+# child has no copy of the thread, so it drops the queue and makes its own.
+_jobs = None
+_jobs_lock = threading.Lock()
 
 
-# The one worker thread of large queries, which triangulates a dt_pca
-# query's landmarks or multiplies rows of a pca_only query's product.  The
-# first such query makes it, so neither importing dtpca nor a small query
-# pays for the thread.
-# It is a daemon fed through one SimpleQueue, and each call gets its own
-# reply queue; _queue is the C module under queue, and concurrent.futures
-# would import logging.  A forked child has no copy of the thread, so it
-# drops the worker and makes its own.
-class _Worker:
-    """One daemon thread that runs submitted func(arg) calls in order."""
-
-    def __init__(self):
-        from _queue import SimpleQueue
-
-        self._new_reply = SimpleQueue
-        self._jobs = SimpleQueue()
-        threading.Thread(target=self._serve, name="dtpca-worker", daemon=True).start()
-
-    def _serve(self):
-        while True:
-            func, arg, reply = self._jobs.get()
-            try:
-                reply.put((func(arg), None))
-            except BaseException as exc:  # the caller raises it
-                reply.put((None, exc))
-
-    def submit(self, func, arg):
-        """Queue func(arg); the callable returned waits for its value, or
-        raises its exception."""
-        reply = self._new_reply()
-        self._jobs.put((func, arg, reply))
-
-        def result():
-            value, exc = reply.get()
-            if exc is not None:
-                raise exc
-            return value
-
-        return result
+def _serve(jobs):
+    while True:
+        func, arg, reply = jobs.get()
+        try:
+            reply.put((func(arg), None))
+        except BaseException as exc:  # the caller raises it
+            reply.put((None, exc))
 
 
-_the_worker = None
-_worker_lock = threading.Lock()
+def _submit(func, arg):
+    """Queue func(arg) for the worker thread; the callable returned waits
+    for its value, or raises its exception."""
+    global _jobs
+    from _queue import SimpleQueue
+
+    with _jobs_lock:
+        if _jobs is None:
+            _jobs = SimpleQueue()
+            threading.Thread(target=_serve, args=(_jobs,), name="dtpca-worker", daemon=True).start()
+    reply = SimpleQueue()
+    _jobs.put((func, arg, reply))
+
+    def result():
+        value, exc = reply.get()
+        if exc is not None:
+            raise exc
+        return value
+
+    return result
 
 
-def _worker() -> _Worker:
-    global _the_worker
-    with _worker_lock:
-        if _the_worker is None:
-            _the_worker = _Worker()
-        return _the_worker
+def _drop_jobs():
+    global _jobs, _jobs_lock
+    _jobs, _jobs_lock = None, threading.Lock()
 
 
-def _drop_worker():
-    global _the_worker, _worker_lock
-    _the_worker, _worker_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_drop_worker)
+os.register_at_fork(after_in_child=_drop_jobs)
 
 
 @functools.cache
@@ -281,7 +270,7 @@ def _two_core_product(eigenvectors: np.ndarray, x: np.ndarray) -> np.ndarray:
     k = len(eigenvectors)
     s = 4 * (k // 8)
     coords = np.empty(k)
-    tail = _worker().submit(lambda rows: rows.dot(x, out=coords[s:]), eigenvectors[s:])
+    tail = _submit(lambda rows: rows.dot(x, out=coords[s:]), eigenvectors[s:])
     eigenvectors[:s].dot(x, out=coords[:s])
     tail()
     return coords
@@ -340,11 +329,11 @@ def recognize(
             # first: its ufuncs release the GIL too, and would then wait
             # for the sweep to end to take it back.
             x = eigenface.centered(model, test_image)
-            mesh = _worker().submit(geometry.delaunay, test_landmarks)
+            mesh = _submit(_ra_avg, test_landmarks)
             coords = model.eigenvectors.dot(x)
-            tt_avg = _ra_avg(mesh)
+            tt_avg = mesh()
         else:
-            tt_avg = _ra_avg(lambda: geometry.delaunay(test_landmarks))
+            tt_avg = _ra_avg(test_landmarks)
     elif large and model.k >= 8 and _blas_threads() == 1:
         coords = _two_core_product(model.eigenvectors, eigenface.centered(model, test_image))
 
@@ -458,7 +447,8 @@ def _decode(data: bytes) -> tuple[Gallery, EigenModel]:
         header = json.loads(data[:start])
     except ValueError:
         header = None
-    if not isinstance(header, dict) or header.get("format_version") != GALLERY_FORMAT_VERSION:
+    version = header.get("format_version") if isinstance(header, dict) else None
+    if type(version) is not int or version != GALLERY_FORMAT_VERSION:
         raise ValueError(f"not a version {GALLERY_FORMAT_VERSION} gallery file; {_RETRAIN}")
     if zlib.crc32(memoryview(data)[:-4]) != int.from_bytes(data[-4:], "little"):
         raise ValueError("checksum mismatch: the file is corrupt")

@@ -218,9 +218,6 @@ def test_normalized_divides_every_pixel_value_by_255():
     img = ImageVector(width=16, height=16, values=raw)
     expected = raw.astype(float) / 255.0
     assert np.array_equal(img.normalized(), expected)
-    out = np.empty(256)
-    assert img.normalized(out=out) is out
-    assert np.array_equal(out, expected)
 
 
 @pytest.mark.parametrize("field", ["99999999999999999999", "-99999999999999999999"])
@@ -447,6 +444,13 @@ def test_split_dataset_out_of_range():
         split_dataset(m, 0)
     with pytest.raises(ValueError):
         split_dataset(m, 4)
+
+
+@pytest.mark.parametrize("k", [2.5, True])
+def test_split_dataset_rejects_a_non_integer_count(k):
+    with pytest.raises(ValueError) as info:
+        split_dataset(_manifest(3, 4), k)
+    assert str(info.value) == f"train_variants_per_subject must be an integer, got {k!r}"
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])

@@ -14,6 +14,7 @@ from dtpca.evalharness import (
     AccuracyRow,
     AccuracyTable,
     ExperimentConfig,
+    SplitRangeError,
     accuracy,
     emit_report,
     render_csv_report,
@@ -78,6 +79,17 @@ def test_config_validation():
         ExperimentConfig(manifest_path="m", train_variants=1, modes=())
     with pytest.raises(ValueError):
         ExperimentConfig(manifest_path="m", train_variants=1, modes=("dt_pca", "dt_pca"))
+
+
+@pytest.mark.parametrize("tv", [2.5, True])
+def test_a_non_integer_train_variants_is_a_split_range_error(scheme_manifests, tv):
+    message = f"train_variants must be an integer, got {tv!r}"
+    with pytest.raises(SplitRangeError) as info:
+        run_table(scheme_manifests, [tv])
+    assert str(info.value) == message
+    with pytest.raises(SplitRangeError) as info:
+        ExperimentConfig(manifest_path="m", train_variants=tv)
+    assert str(info.value) == message
 
 
 # --- run_experiment ----------------------------------------------------------------

@@ -576,6 +576,15 @@ def test_load_gallery_bad_version(saved_gallery):
         load_gallery(saved_gallery)
 
 
+@pytest.mark.parametrize("version", [3.0, True])
+def test_load_gallery_rejects_a_format_version_that_is_not_the_int_3(saved_gallery, version):
+    # 3.0 == 3, but save_gallery writes the int, and any other header is a
+    # data error.
+    edit_gallery(saved_gallery, lambda h, a: h.update(format_version=version))
+    with pytest.raises(GalleryFormatError, match="not a version 3 gallery file"):
+        load_gallery(saved_gallery)
+
+
 def test_load_gallery_ra_avg_out_of_range(saved_gallery):
     edit_gallery(saved_gallery, lambda h, a: a["ra_avg"].__setitem__(0, 1.5))
     with pytest.raises(GalleryFormatError):
@@ -696,7 +705,7 @@ def test_overlapped_query_equals_the_sequential_one(large_query, mesh_threads, m
 
 
 def never_use_the_worker(monkeypatch):
-    monkeypatch.setattr(recognizer, "_worker", lambda: pytest.fail("the worker was used"))
+    monkeypatch.setattr(recognizer, "_submit", lambda func, arg: pytest.fail("the worker was used"))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -726,17 +735,16 @@ def test_large_pca_only_query_splits_only_at_one_blas_thread(
     monkeypatch.setattr(recognizer, "_blas_threads", lambda: threads)
     idents = []
     if threads == 1:
-        worker = recognizer._worker()
+        submit = recognizer._submit
 
-        class Spy:
-            def submit(self, func, arg):
-                def spied(arg):
-                    idents.append(threading.get_ident())
-                    return func(arg)
+        def spy(func, arg):
+            def spied(arg):
+                idents.append(threading.get_ident())
+                return func(arg)
 
-                return worker.submit(spied, arg)
+            return submit(spied, arg)
 
-        monkeypatch.setattr(recognizer, "_worker", Spy)
+        monkeypatch.setattr(recognizer, "_submit", spy)
     else:
         never_use_the_worker(monkeypatch)
     report = recognize(*args)
@@ -787,8 +795,8 @@ def split_query_mismatches():
     if recognize(gallery, model, images[4], None, "pca_only").ed[4] != 0.0:
         mismatches.append("self-match")
     # Nothing before that query made the worker.
-    if (recognizer._the_worker is not None) != (threads == 1):
-        mismatches.append(f"split is {recognizer._the_worker is not None} at {threads} threads")
+    if (recognizer._jobs is not None) != (threads == 1):
+        mismatches.append(f"split is {recognizer._jobs is not None} at {threads} threads")
     if threads != 1:
         return mismatches
     for k in SPLIT_KS:
@@ -845,6 +853,24 @@ def test_overlapped_query_rejects_unmeshable_landmarks(large_query, monkeypatch,
     sequential(monkeypatch)
     assert query_error(lambda: recognize(gallery, model, image, bad, "dt_pca")) == error
     assert np.array_equal(recognize(gallery, model, image, landmarks, "dt_pca").rv, report.rv)
+
+
+def test_descriptors_and_both_query_paths_raise_one_landmark_error(
+    large_query, mesh_threads, monkeypatch
+):
+    gallery, model = large_query["reloaded"]
+    image, landmarks = large_query["image"], large_query["landmarks"]
+    bad = unmeshable(landmarks, "duplicate")
+    with pytest.raises(LandmarkError) as described:
+        recognizer.landmark_descriptors([landmarks, bad])
+    assert described.value.index == 1
+    large = query_error(lambda: recognize(gallery, model, image, bad, "dt_pca"))
+    sequential(monkeypatch)
+    small = query_error(lambda: recognize(gallery, model, image, bad, "dt_pca"))
+    assert large == small == (LandmarkError, str(described.value))
+    assert "duplicate" in small[1]
+    caller = threading.get_ident()
+    assert [ident != caller for ident in mesh_threads] == [False, False, True, False]
 
 
 @pytest.mark.parametrize("width, height", [(243, 320), (320, 242)])
